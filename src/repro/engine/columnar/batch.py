@@ -286,7 +286,7 @@ class ColumnarBatchRunner:
     """
 
     #: Distinct chunk shapes alive per screen (small first chunk, grown
-    #: follow-ups, the verifier's enumeration chunks); a handful suffices.
+    #: follow-ups, the tester's enumeration chunks); a handful suffices.
     TRIE_MEMO_SLOTS = 8
 
     def __init__(self, compiler):

@@ -122,6 +122,26 @@ class ColumnarState:
         clone.chain_cache = dict(self.chain_cache)
         return clone
 
+    def key(self) -> tuple:
+        """Everything later executions can observe, as a hashable value.
+
+        Mirrors :meth:`repro.engine.compiled.CompiledState.key`: rowids and
+        cells (with their types) in position order plus both counters.  Key
+        indexes and the chain cache are derived from those and left out.
+        """
+        return (
+            self.next_rowid,
+            self.uids.count,
+            tuple(
+                (
+                    tuple(table.rowids),
+                    *map(tuple, table.cols),
+                    *(tuple(map(type, col)) for col in table.cols),
+                )
+                for table in self.tables
+            ),
+        )
+
     def writable(self, table_index: int) -> ColumnTable:
         table = self.tables[table_index]
         if table.shared:

@@ -62,6 +62,32 @@ class CompiledState:
         self.uids.reset()
         self.next_rowid = 1
 
+    def fork(self) -> "CompiledState":
+        """An independent copy; rows are copied because updates write in place."""
+        clone = CompiledState.__new__(CompiledState)
+        clone.tables = [[CRow(row.rowid, list(row.vals)) for row in rows] for rows in self.tables]
+        clone.uids = self.uids.fork()
+        clone.next_rowid = self.next_rowid
+        return clone
+
+    def key(self) -> tuple:
+        """Everything later executions can observe, as a hashable value.
+
+        Rows in table order with their rowids, plus both counters.  Cell
+        types are part of the key: ``True == 1`` in Python, but the two
+        canonicalize differently.  Two states with equal keys behave
+        identically under every invocation, because execution is
+        deterministic in exactly these fields.
+        """
+        return (
+            self.next_rowid,
+            self.uids.count,
+            tuple(
+                tuple((row.rowid, *row.vals, *map(type, row.vals)) for row in rows)
+                for rows in self.tables
+            ),
+        )
+
 
 class CompiledFunction:
     """One compiled function: parameter metadata plus the executable closure.

@@ -829,8 +829,8 @@ def make_batch_runner(execution_backend: str, compiler: Optional[ProgramCompiler
     """Build the batch-execution facade for a backend, or ``None``.
 
     Only the columnar backend has batch kernels; the scalar backends return
-    ``None`` and callers (pool screening, the tester/verifier loops) fall
-    back to per-sequence execution.  Pass the same *compiler* given to
+    ``None`` and callers (pool screening, the tester's enumeration loop)
+    fall back to per-sequence execution.  Pass the same *compiler* given to
     :func:`make_runner` so both paths share compiled artefacts and stats.
     """
     if execution_backend not in EXECUTION_BACKENDS:

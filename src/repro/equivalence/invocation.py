@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.datamodel.types import DataType, default_seed_values
 from repro.lang.ast import Function, Program, QueryFunction, UpdateFunction
@@ -201,6 +201,16 @@ def tables_touched(func: Function) -> frozenset[str]:
     return frozenset(tables)
 
 
+class QueryPlan(NamedTuple):
+    """One query's slice of the bounded sequence space."""
+
+    query: str
+    #: Argument tuples the query is invoked with.
+    query_args: list[tuple]
+    #: ``(update name, argument tuples)`` of the updates that may precede it.
+    updates: tuple[tuple[str, list[tuple]], ...]
+
+
 @dataclass
 class SequenceGenerator:
     """Enumerates invocation sequences in increasing length.
@@ -230,47 +240,66 @@ class SequenceGenerator:
         query_names = [f.name for f in reference.query_functions()]
         return update_names, query_names
 
-    def sequences(self) -> Iterator[InvocationSequence]:
-        """Yield sequences in increasing length (then deterministic order)."""
+    def plan(self) -> list[QueryPlan]:
+        """Per query, in enumeration order: its arguments and relevant updates.
+
+        :meth:`sequences` enumerates exactly the update prefixes (of length
+        up to ``max_updates``) over each plan's updates followed by its query;
+        the verifier's state-pair search walks the same space from the plans.
+        """
         reference = self.programs[0]
         touch = self._touch_map()
         update_names, query_names = self._function_lists()
         key_attrs = filtered_attributes(reference)
 
-        query_args = {
-            name: argument_combinations(
-                reference.function(name),
-                self.seeds,
-                predicate_parameters(reference.function(name), key_attrs),
-            )
-            for name in query_names
-        }
-        update_args = {
-            name: argument_combinations(
-                reference.function(name),
-                self.seeds,
-                predicate_parameters(reference.function(name), key_attrs),
-            )
-            for name in update_names
-        }
+        def args_of(name: str) -> list[tuple]:
+            func = reference.function(name)
+            return argument_combinations(func, self.seeds, predicate_parameters(func, key_attrs))
 
+        update_args = {name: args_of(name) for name in update_names}
+        plans = []
+        for query_name in query_names:
+            relevant_updates = update_names
+            if self.relevance_filter:
+                query_tables = touch.get(query_name, frozenset())
+                relevant_updates = [
+                    name for name in update_names if touch.get(name, frozenset()) & query_tables
+                ]
+            plans.append(
+                QueryPlan(
+                    query_name,
+                    args_of(query_name),
+                    tuple((name, update_args[name]) for name in relevant_updates),
+                )
+            )
+        return plans
+
+    def count(self, plans: list[QueryPlan] | None = None) -> int:
+        """The number of sequences :meth:`sequences` yields, without enumerating.
+
+        *plans* is this generator's :meth:`plan`, when the caller has it.
+        """
+        total = 0
+        for plan in self.plan() if plans is None else plans:
+            invocations = sum(len(args) for _name, args in plan.updates)
+            prefixes = sum(invocations**depth for depth in range(self.max_updates + 1))
+            total += prefixes * len(plan.query_args)
+        return total
+
+    def sequences(self) -> Iterator[InvocationSequence]:
+        """Yield sequences in increasing length (then deterministic order)."""
+        plans = self.plan()
         for num_updates in range(0, self.max_updates + 1):
-            for query_name in query_names:
-                relevant_updates = update_names
-                if self.relevance_filter:
-                    query_tables = touch.get(query_name, frozenset())
-                    relevant_updates = [
-                        name
-                        for name in update_names
-                        if touch.get(name, frozenset()) & query_tables
-                    ]
-                for update_combo in itertools.product(relevant_updates, repeat=num_updates):
+            for plan in plans:
+                names = [name for name, _args in plan.updates]
+                update_args = dict(plan.updates)
+                for update_combo in itertools.product(names, repeat=num_updates):
                     arg_pools = [update_args[name] for name in update_combo]
-                    arg_pools.append(query_args[query_name])
+                    arg_pools.append(plan.query_args)
                     for args_combo in itertools.product(*arg_pools):
                         calls = tuple(
                             (name, args)
-                            for name, args in zip(update_combo + (query_name,), args_combo)
+                            for name, args in zip(update_combo + (plan.query,), args_combo)
                         )
                         yield calls
 

@@ -159,8 +159,7 @@ def batched_first_divergence(
 ) -> Optional[int]:
     """Index of the first sequence where *candidate* differs from *source*.
 
-    The batched core shared by :class:`BoundedTester` and
-    :class:`~repro.equivalence.verifier.BoundedVerifier`: both programs run
+    The batched core of :class:`BoundedTester`: both programs run
     through the columnar batch kernels (source only on cache misses), then
     the outcomes are walked **in sequence order**, reproducing the scalar
     loop's exact trajectory — the first problem sequence either raises what
@@ -175,9 +174,9 @@ def batched_first_divergence(
     scalar loop would have reached (everything up to and including the
     divergent or raising one), *source_cache_hits* how many of those were
     served from the source-output cache — the callers hang their statistics
-    on it.  *cache*/*key* may be ``None`` (the verifier screens sources it
-    does not cache); successful source outcomes are canonicalized and
-    cached, errors never are.
+    on it.  *cache*/*key* may be ``None``, and then nothing is cached;
+    otherwise successful source outcomes are canonicalized and cached,
+    errors never are.
 
     *gather_memo*, when provided, is a caller-owned LRU (a plain list) of
     gathered source-side outcomes keyed by ``(key, sequences)`` content.

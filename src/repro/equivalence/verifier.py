@@ -14,6 +14,28 @@ benchmark family (the paper reports that testing never disagreed with
 Mediator), at the cost of soundness beyond the bound, which we document as a
 limitation in EXPERIMENTS.md.
 
+The exhaustive pass has two implementations with one result:
+
+* the **ordered loop** runs every sequence of
+  :meth:`SequenceGenerator.sequences` from the empty database, in order, and
+  stops at the first divergence.  It is the reference: the interpreter
+  backend always uses it.
+* the **state-pair search** (compiled and columnar backends) walks the same
+  sequence space depth by depth.  Queries are grouped by their relevant
+  update set; every update invocation runs once on a fork of each distinct
+  ``(source state, candidate state)`` pair, and every query invocation runs
+  once per distinct pair.  Pairs are deduplicated by an exact state key
+  (rows, rowids, cell types, UID counter, ``next_rowid``) across all depths.
+  Execution is deterministic in exactly those fields, so two sequences that
+  reach equal keys agree on every continuation and checking one checks both.
+
+The search only ever *confirms* a clean pass.  On any divergence, any error,
+or when the enumeration would exceed ``max_sequences``, :meth:`verify`
+discards it and runs the ordered loop instead, so the first counterexample,
+``sequences_checked``, ``method`` and error propagation are exactly the
+ordered loop's.  On a clean pass ``sequences_checked`` is the enumeration's
+size, computed arithmetically.
+
 ``ExecutionError`` semantics match :class:`~repro.equivalence.tester.BoundedTester`
 exactly: a candidate that raises is failing (never "equivalently broken"),
 and a source that raises propagates the error to the caller.  See the
@@ -22,20 +44,15 @@ and a source that raises propagates the error to the caller.  See the
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.engine.compiler import ProgramCompiler, make_batch_runner, make_runner
+from repro.engine.compiler import ProgramCompiler, make_runner
 from repro.engine.joins import ExecutionError
 from repro.equivalence.invocation import InvocationSequence, SeedSet, SequenceGenerator
 from repro.equivalence.result_compare import canonicalize_outputs
-from repro.equivalence.tester import (
-    TestingInterrupted,
-    batched_first_divergence,
-    cached_source_outputs,
-)
+from repro.equivalence.tester import TestingInterrupted, cached_source_outputs
 from repro.lang.ast import Program
 from repro.lang.pretty import format_program
 from repro.testing_cache import SourceOutputCache
@@ -46,6 +63,10 @@ class VerifierStatistics:
     """Counters surfaced alongside the tester's on ``SynthesisResult.cache``."""
 
     source_cache_hits: int = 0
+    #: Distinct (source state, candidate state) pairs the search queried.
+    state_pairs: int = 0
+    #: Exhaustive passes the search handed to the ordered loop.
+    ordered_fallbacks: int = 0
 
 
 @dataclass
@@ -83,15 +104,16 @@ class BoundedVerifier:
         self.relevance_filter = relevance_filter
         self.seed = seed
         self.max_sequences = max_sequences
-        # One verify() call executes up to max_sequences + random_sequences
-        # invocation sequences against the same two programs, so both are
-        # compiled exactly once per call (the compiler caches per program).
-        # The columnar backend also verifies in batches; the batch runner
-        # shares the compiler so both paths reuse compiled artefacts.
-        if execution_backend == "columnar" and compiler is None:
+        if execution_backend != "interpreter" and compiler is None:
             compiler = ProgramCompiler()
         self._run = make_runner(execution_backend, compiler)
-        self._batch = make_batch_runner(execution_backend, compiler)
+        #: Program -> executable with ``new_state``/``call``/``functions``,
+        #: whose states ``fork`` and ``key``; ``None`` selects the ordered loop.
+        self._compile: Optional[Callable] = None
+        if execution_backend == "compiled":
+            self._compile = compiler.compile_program
+        elif execution_backend == "columnar":
+            self._compile = compiler.compile_columnar
         # Optional shared source-output memo (same cache the tester uses; keys
         # include the program fingerprint, so sharing across runs — e.g. the
         # migration service verifying several candidates of the same source
@@ -100,10 +122,6 @@ class BoundedVerifier:
         self._source_cache = source_cache
         self.stats = VerifierStatistics()
         self._source_key: Optional[str] = None
-        # Gathered source-side batch outcomes per chunk — see
-        # ``batched_first_divergence``'s *gather_memo* (inert while
-        # ``_source_key`` is None, i.e. with no source cache attached).
-        self._gather_memo: list = []
         # The source program is fingerprinted once per *program object*, not
         # once per verify() call: the completion loop verifies many
         # candidates against the same source, and pretty-printing it each
@@ -111,13 +129,18 @@ class BoundedVerifier:
         # the identity check sound (no id() reuse while we keep it alive).
         self._keyed_source: Optional[Program] = None
         #: Optional cooperative-interruption hook, mirroring
-        #: ``BoundedTester.interrupt``: polled once per verified sequence; a
-        #: ``True`` return aborts the pass with
-        #: :class:`~repro.equivalence.tester.TestingInterrupted`.  The
-        #: completer installs (and restores) it around each completion call,
-        #: so a deep verification pass cannot overrun the run's deadline or
-        #: ignore a cancellation request.
+        #: ``BoundedTester.interrupt``: polled once per sequence of the
+        #: ordered loop and the randomized pass, and once per state expansion
+        #: and per query batch of the search; a ``True`` return aborts the
+        #: pass with :class:`~repro.equivalence.tester.TestingInterrupted`.
+        #: The completer installs (and restores) it around each completion
+        #: call, so a deep verification pass cannot overrun the run's
+        #: deadline or ignore a cancellation request.
         self.interrupt: Optional[Callable[[], bool]] = None
+
+    def _poll(self) -> None:
+        if self.interrupt is not None and self.interrupt():
+            raise TestingInterrupted()
 
     def _source_outputs(self, program: Program, sequence: InvocationSequence):
         # Source errors propagate (as in BoundedTester): a source program that
@@ -138,37 +161,12 @@ class BoundedVerifier:
             return None
 
     def _differs(self, source: Program, candidate: Program, sequence: InvocationSequence) -> bool:
-        if self.interrupt is not None and self.interrupt():
-            raise TestingInterrupted()
+        self._poll()
         # Source first (exactly like BoundedTester.differs_on): a broken
         # source raises before the candidate is ever consulted.
         expected = self._source_outputs(source, sequence)
         actual = self._candidate_outputs(candidate, sequence)
         return actual is None or actual != expected
-
-    def _interrupt_hook(self) -> None:
-        """Raising form of the interrupt poll, passed into batch kernels."""
-        if self.interrupt is not None and self.interrupt():
-            raise TestingInterrupted()
-
-    def _first_divergence_batched(
-        self, source: Program, candidate: Program, sequences: list[InvocationSequence]
-    ) -> Optional[int]:
-        def visit(_visited: int, source_cache_hits: int) -> None:
-            self.stats.source_cache_hits += source_cache_hits
-
-        return batched_first_divergence(
-            self._batch,
-            self._source_cache,
-            self._source_key,
-            source,
-            candidate,
-            sequences,
-            # No hook installed → no per-node polling inside the kernels.
-            interrupt=self._interrupt_hook if self.interrupt is not None else None,
-            visit=visit,
-            gather_memo=self._gather_memo,
-        )
 
     def verify(self, source: Program, candidate: Program) -> VerificationResult:
         if self._source_cache is not None and source is not self._keyed_source:
@@ -180,8 +178,17 @@ class BoundedVerifier:
             max_updates=self.max_updates,
             relevance_filter=self.relevance_filter,
         )
-        if self._batch is not None:
-            return self._verify_batched(source, candidate, generator)
+        if self._compile is not None:
+            checked = self._search(source, candidate, generator)
+            if checked is not None:
+                return self._verify_random(source, candidate, generator, checked)
+            self.stats.ordered_fallbacks += 1
+        return self._verify_ordered(source, candidate, generator)
+
+    def _verify_ordered(
+        self, source: Program, candidate: Program, generator: SequenceGenerator
+    ) -> VerificationResult:
+        """The reference exhaustive pass, then the randomized one."""
         checked = 0
         for sequence in generator.sequences():
             checked += 1
@@ -189,6 +196,11 @@ class BoundedVerifier:
                 break
             if self._differs(source, candidate, sequence):
                 return VerificationResult(False, sequence, checked)
+        return self._verify_random(source, candidate, generator, checked)
+
+    def _verify_random(
+        self, source: Program, candidate: Program, generator: SequenceGenerator, checked: int
+    ) -> VerificationResult:
         rng = random.Random(self.seed)
         for sequence in generator.random_sequences(
             self.random_sequences, self.random_max_length, rng
@@ -198,48 +210,78 @@ class BoundedVerifier:
                 return VerificationResult(False, sequence, checked, method="randomized-testing")
         return VerificationResult(True, None, checked)
 
-    def _verify_batched(
+    def _search(
         self, source: Program, candidate: Program, generator: SequenceGenerator
-    ) -> VerificationResult:
-        """Both verification passes in chunks through the batch kernels.
+    ) -> Optional[int]:
+        """The exhaustive pass as a search over distinct state pairs.
 
-        Produces the same :class:`VerificationResult` — counterexample,
-        ``sequences_checked`` (including the scalar loop's count of the
-        bound-tripping sequence) and method — as the scalar loops.
+        Returns the ordered loop's ``sequences_checked`` when every query
+        agrees on every reachable pair, or ``None`` when the ordered loop must
+        decide instead (a divergence, any exception, or a truncated space).
         """
-        iterator = generator.sequences()
-        checked = 0
-        chunk_size = 32
-        exhausted = False
-        while checked < self.max_sequences:
-            take = min(chunk_size, self.max_sequences - checked)
-            chunk = list(itertools.islice(iterator, take))
-            if not chunk:
-                exhausted = True
+        plans = generator.plan()
+        total = generator.count(plans)
+        if total > self.max_sequences:
+            return None
+        # A name missing from a program, or of the other kind there (an
+        # update that answers, a query that mutates), changes what a sequence
+        # outputs: only the ordered loop models that.
+        kinds = {name: False for plan in plans for name, _args in plan.updates}
+        kinds.update((plan.query, True) for plan in plans)
+        groups: dict[tuple, tuple[list, list]] = {}
+        for plan in plans:
+            names = tuple(name for name, _args in plan.updates)
+            if names not in groups:
+                updates = [(name, args) for name, arg_list in plan.updates for args in arg_list]
+                groups[names] = (updates, [])
+            groups[names][1].extend((plan.query, args) for args in plan.query_args)
+        try:
+            programs = (self._compile(source), self._compile(candidate))
+            for program in programs:
+                functions = program.functions
+                for name, is_query in kinds.items():
+                    if name not in functions or functions[name].is_query is not is_query:
+                        return None
+            for updates, queries in groups.values():
+                if not self._search_group(programs, updates, queries):
+                    return None
+        except TestingInterrupted:
+            raise
+        except Exception:
+            # The ordered loop reaches the same error at its first sequence
+            # through that state, and raises or rejects exactly as it must.
+            return None
+        return total
+
+    def _search_group(self, programs, updates: list, queries: list) -> bool:
+        """Whether every query agrees on every pair reachable by *updates*."""
+        source, candidate = programs
+        root = (source.new_state(), candidate.new_state())
+        seen = {(root[0].key(), root[1].key())}
+        frontier = [root]
+        for depth in range(self.max_updates + 1):
+            self.stats.state_pairs += len(frontier)
+            # Queries are read-only, so every query runs on the pair itself.
+            for source_state, candidate_state in frontier:
+                self._poll()
+                for name, args in queries:
+                    expected = canonicalize_outputs([source.call(source_state, name, args)])
+                    actual = canonicalize_outputs([candidate.call(candidate_state, name, args)])
+                    if actual != expected:
+                        return False
+            if depth == self.max_updates:
                 break
-            checked += len(chunk)
-            index = self._first_divergence_batched(source, candidate, chunk)
-            if index is not None:
-                checked -= len(chunk) - (index + 1)
-                return VerificationResult(False, chunk[index], checked)
-            chunk_size = min(chunk_size * 4, 512)
-        if not exhausted and next(iterator, None) is not None:
-            checked += 1  # the scalar loop counts the sequence that trips the bound
-        rng = random.Random(self.seed)
-        randoms = list(
-            generator.random_sequences(self.random_sequences, self.random_max_length, rng)
-        )
-        start = 0
-        chunk_size = 32
-        while start < len(randoms):
-            chunk = randoms[start : start + chunk_size]
-            index = self._first_divergence_batched(source, candidate, chunk)
-            if index is not None:
-                checked += index + 1
-                return VerificationResult(
-                    False, chunk[index], checked, method="randomized-testing"
-                )
-            checked += len(chunk)
-            start += len(chunk)
-            chunk_size = min(chunk_size * 4, 512)
-        return VerificationResult(True, None, checked)
+            reached = []
+            for source_state, candidate_state in frontier:
+                self._poll()
+                for name, args in updates:
+                    next_source = source_state.fork()
+                    source.call(next_source, name, args)
+                    next_candidate = candidate_state.fork()
+                    candidate.call(next_candidate, name, args)
+                    key = (next_source.key(), next_candidate.key())
+                    if key not in seen:
+                        seen.add(key)
+                        reached.append((next_source, next_candidate))
+            frontier = reached
+        return True

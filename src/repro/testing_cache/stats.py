@@ -41,6 +41,13 @@ class TestingCacheStats:
     source_cache_hits: int = 0
     source_cache_entries: int = 0
     source_cache_evictions: int = 0
+    #: Distinct (source state, candidate state) pairs the verifier's search
+    #: queried; the sequences it stood in for are the verifier's
+    #: ``sequences_checked``, so their ratio is what the dedup saved.
+    verifier_state_pairs: int = 0
+    #: Verifications the search handed to the ordered reference loop (a
+    #: rejected candidate, an error, or a truncated enumeration).
+    verifier_fallbacks: int = 0
     #: Compiled-closure cache counters of this run (deltas over the possibly
     #: shared :class:`~repro.engine.compiler.ProgramCompiler`): function
     #: closures served from cache vs actually compiled.  Nonzero hits on a
@@ -72,6 +79,8 @@ class TestingCacheStats:
         self.source_cache_hits += other.source_cache_hits
         self.source_cache_entries = max(self.source_cache_entries, other.source_cache_entries)
         self.source_cache_evictions += other.source_cache_evictions
+        self.verifier_state_pairs += other.verifier_state_pairs
+        self.verifier_fallbacks += other.verifier_fallbacks
         self.compiled_function_hits += other.compiled_function_hits
         self.compiled_function_misses += other.compiled_function_misses
         self.pool_size = max(self.pool_size, other.pool_size)
@@ -85,17 +94,19 @@ def collect_cache_stats(
     ``tester_stats`` is a ``TesterStatistics``; *pool* and *source_cache* may
     be ``None`` when the corresponding feature is disabled.  When the
     verifier shares the source cache, its ``VerifierStatistics`` contributes
-    its hits to the merged ``source_cache_hits`` counter.  *compiler_delta*
+    its hits to the merged ``source_cache_hits`` counter and its search
+    counters to ``verifier_state_pairs`` / ``verifier_fallbacks``.  *compiler_delta*
     is this run's share of a (possibly shared) program compiler's
     :class:`~repro.engine.compiler.CompilerStats`.
     """
-    source_cache_hits = tester_stats.source_cache_hits
-    if verifier_stats is not None:
-        source_cache_hits += verifier_stats.source_cache_hits
     stats = TestingCacheStats(
         candidates_fully_tested=tester_stats.full_enumerations,
-        source_cache_hits=source_cache_hits,
+        source_cache_hits=tester_stats.source_cache_hits,
     )
+    if verifier_stats is not None:
+        stats.source_cache_hits += verifier_stats.source_cache_hits
+        stats.verifier_state_pairs = verifier_stats.state_pairs
+        stats.verifier_fallbacks = verifier_stats.ordered_fallbacks
     if compiler_delta is not None:
         stats.compiled_function_hits = compiler_delta.function_hits
         stats.compiled_function_misses = compiler_delta.function_misses

@@ -1,10 +1,12 @@
 """Tests for invocation sequences, result comparison, the bounded tester and verifier."""
 
+import os
 import random
 
 import pytest
 
 from repro.datamodel import Attribute, DataType as T, make_schema
+from repro.engine.joins import ExecutionError
 from repro.engine.uid import UniqueValue
 from repro.equivalence import (
     BoundedTester,
@@ -18,6 +20,7 @@ from repro.equivalence import (
     tables_touched,
 )
 from repro.equivalence.invocation import filtered_attributes, predicate_parameters
+from repro.lang.ast import QueryFunction, UpdateFunction
 from repro.lang.builder import ProgramBuilder, delete, eq, insert, join, select, update
 
 
@@ -378,3 +381,204 @@ class TestErrorSemanticsAgreement:
         tester = BoundedTester(broken)
         with pytest.raises(ExecutionError):
             tester.find_failing_input(_erroring_people(people_schema))
+
+
+# ------------------------------------------- state-pair search vs ordered reference
+#: The full verifier bound on every registry workload takes about 40 s through
+#: the interpreter's ordered loop; tier-1 runs one update shallower.
+FULL_EQUIV = os.environ.get("REPRO_FULL_EQUIV") == "1"
+PIN_BOUNDS = {} if FULL_EQUIV else {"max_updates": 2, "random_sequences": 25}
+
+
+def _verdict(verifier, source, candidate):
+    try:
+        result = verifier.verify(source, candidate)
+    except Exception as error:  # backends word their messages differently
+        return ("raises", type(error))
+    return (result.equivalent, result.counterexample, result.sequences_checked, result.method)
+
+
+def _assert_search_matches_ordered(source, candidate, **bounds):
+    """The search (compiled, columnar) against the ordered loop (interpreter).
+
+    Returns the reference verdict and the compiled verifier's statistics.
+    """
+    reference = _verdict(
+        BoundedVerifier(execution_backend="interpreter", **bounds), source, candidate
+    )
+    stats = {}
+    for backend in ("compiled", "columnar"):
+        verifier = BoundedVerifier(execution_backend=backend, **bounds)
+        assert _verdict(verifier, source, candidate) == reference, (candidate.name, backend)
+        stats[backend] = verifier.stats
+    assert stats["compiled"] == stats["columnar"]
+    return reference, stats["compiled"]
+
+
+def _dropped_statement(program):
+    """A rejected candidate: the first non-empty update loses its last statement."""
+    for func in program.update_functions():
+        if func.statements:
+            mutated = UpdateFunction(func.name, func.params, func.statements[:-1])
+            return program.with_functions(
+                [mutated if f is func else f for f in program], name=f"{program.name}-dropped"
+            )
+    raise AssertionError(f"{program.name} has no update statement to drop")
+
+
+@pytest.fixture(scope="module")
+def registry_programs():
+    from repro.core import SynthesisConfig, migrate
+    from repro.workloads import benchmark_names, get_benchmark
+
+    programs = {}
+    for name in benchmark_names():
+        bench = get_benchmark(name)
+        result = migrate(bench.source_program, bench.target_schema, SynthesisConfig())
+        assert result.succeeded, name
+        programs[name] = (bench.source_program, result.program)
+    return programs
+
+
+class TestSearchMatchesOrderedLoop:
+    """``BoundedVerifier`` has two exhaustive passes with one result.
+
+    The state-pair search (compiled, columnar) must reproduce the ordered
+    reference loop (interpreter) field by field: verdict, first
+    counterexample, ``sequences_checked`` and ``method``, and error
+    propagation.  Rejected candidates go through the search's fallback.
+    """
+
+    def test_registry_programs_and_rejected_mutants(self, registry_programs):
+        rejected = 0
+        for name, (source, program) in registry_programs.items():
+            verdict, stats = _assert_search_matches_ordered(source, program, **PIN_BOUNDS)
+            assert verdict[0] is True, name
+            assert stats.state_pairs > 0 and stats.ordered_fallbacks == 0, name
+            mutant = _dropped_statement(program)
+            verdict, stats = _assert_search_matches_ordered(source, mutant, **PIN_BOUNDS)
+            if verdict[0] is False:
+                rejected += 1
+                assert stats.ordered_fallbacks == 1, name
+        assert rejected > len(registry_programs) // 2
+
+    def test_corpus_fuzz_seeds(self):
+        from repro.corpus.generator import CorpusConfig, generate_corpus
+
+        rejected = 0
+        for workload in generate_corpus(0, 25, CorpusConfig()):
+            source, oracle = workload.source_program, workload.oracle_program
+            verdict, _stats = _assert_search_matches_ordered(source, oracle, **PIN_BOUNDS)
+            assert verdict[0] is True, workload.name
+            verdict, _stats = _assert_search_matches_ordered(
+                source, _dropped_statement(oracle), **PIN_BOUNDS
+            )
+            rejected += verdict[0] is False
+        assert rejected > 0
+
+    @pytest.mark.parametrize("max_updates", [1, 2, 3])
+    def test_rejected_candidates_fall_back(self, people_program, people_schema, max_updates):
+        # The wrong delete first diverges after two updates, so at
+        # max_updates=2 only the deepest level of the search can see it.
+        for candidate in (
+            _people_variant(people_schema, swap_columns=True),
+            _people_variant(people_schema, wrong_delete=True),
+            _erroring_people(people_schema),
+        ):
+            verdict, stats = _assert_search_matches_ordered(
+                people_program, candidate, max_updates=max_updates
+            )
+            # Only an exhaustive-pass divergence reaches the ordered loop; a
+            # randomized-pass one is found after a clean search.
+            exhaustive = verdict[0] is False and verdict[3] == "bounded-testing"
+            assert stats.ordered_fallbacks == exhaustive
+
+    def test_mismatched_function_kinds_fall_back(self, people_program):
+        # A query where the source has an update, and a missing function:
+        # both change the output list's shape, which only the loop models.
+        as_query = QueryFunction(
+            "deletePerson",
+            people_program.function("deletePerson").params,
+            people_program.function("getPerson").query,
+        )
+        swapped = people_program.with_functions(
+            [as_query if f.name == "deletePerson" else f for f in people_program], name="swapped"
+        )
+        missing = people_program.with_functions(
+            [f for f in people_program if f.name != "findByName"], name="missing"
+        )
+        for candidate in (swapped, missing):
+            _, stats = _assert_search_matches_ordered(
+                people_program, candidate, max_updates=2, random_sequences=10
+            )
+            assert stats.ordered_fallbacks == 1 and stats.state_pairs == 0
+
+    def test_raising_source_propagates(self, people_program, people_schema):
+        broken = _erroring_people(people_schema)
+        for candidate in (people_program, broken):
+            verdict, stats = _assert_search_matches_ordered(broken, candidate, max_updates=2)
+            assert verdict == ("raises", ExecutionError)
+            assert stats.ordered_fallbacks == 1
+
+    def test_truncated_enumeration_falls_back(self, people_program, people_schema):
+        generator = SequenceGenerator(
+            programs=[people_program], seeds=SeedSet.exhaustive(), max_updates=3
+        )
+        total = generator.count()
+        assert total == sum(1 for _ in generator.sequences())
+        buggy = _people_variant(people_schema, wrong_delete=True)
+        for cap, fallbacks in ((total - 1, 1), (total, 0)):
+            _assert_search_matches_ordered(
+                people_program, buggy, random_sequences=20, max_sequences=cap
+            )
+            verdict, stats = _assert_search_matches_ordered(
+                people_program, people_program, random_sequences=20, max_sequences=cap
+            )
+            assert verdict[0] is True and stats.ordered_fallbacks == fallbacks
+            assert verdict[2] == min(total, cap + 1) + 20
+
+
+class TestStateKeys:
+    """The search's dedup rests on two engine properties, pinned here."""
+
+    @staticmethod
+    def _states(program):
+        from repro.engine import ProgramCompiler
+
+        compiler = ProgramCompiler()
+        generator = SequenceGenerator(programs=[program], max_updates=2)
+        for compiled in (compiler.compile_program(program), compiler.compile_columnar(program)):
+            for plan in generator.plan():
+                for name, arg_list in plan.updates:
+                    for args in arg_list:
+                        state = compiled.new_state()
+                        compiled.call(state, name, args)
+                        compiled.call(state, name, args)
+                        yield compiled, state, plan
+
+    def test_queries_are_read_only(self, course_program, people_program):
+        # The search runs every query on a pair's states in place.
+        for program in (course_program, people_program):
+            for compiled, state, plan in self._states(program):
+                before = state.key()
+                for args in plan.query_args:
+                    compiled.call(state, plan.query, args)
+                assert state.key() == before
+
+    def test_fork_is_independent_and_keyed_equal(self, course_program):
+        for compiled, state, plan in self._states(course_program):
+            clone = state.fork()
+            assert clone.key() == state.key()
+            name, arg_list = plan.updates[0]
+            compiled.call(clone, name, arg_list[0])
+            assert clone.key() != state.key()
+
+    def test_key_distinguishes_cell_types(self):
+        from repro.engine.columnar import ColumnarState
+        from repro.engine.compiled import CompiledState
+
+        for make in (lambda: CompiledState(1), lambda: ColumnarState((1,))):
+            as_bool, as_int = make(), make()
+            as_bool.append_row(0, [True])
+            as_int.append_row(0, [1])
+            assert as_bool.key() != as_int.key()

@@ -227,25 +227,66 @@ class TestDeadline:
         assert elapsed < 5.0, f"deadline overshot: {elapsed:.1f}s for a 1s budget"
         assert result.attempts[-1].failure_reason == "time limit reached"
 
-    def test_deadline_stops_deep_verification_pass(self):
-        # coachup's verification pass dominates its run (~0.1s synthesis vs
-        # ~1s verification at these bounds); a budget landing inside that
-        # pass must interrupt it — the verifier polls the deadline per
-        # sequence — instead of letting the run overshoot by the whole pass.
+    def test_deadline_stops_deep_verification_pass(self, monkeypatch):
+        # A budget landing inside the verification pass must interrupt it
+        # instead of letting the run overshoot by the whole pass.  The clock
+        # jumps past the deadline on the verifier's first interrupt poll, so
+        # the deadline lands inside verification however fast the pass is.
+        from repro.equivalence import BoundedVerifier, TestingInterrupted
+
+        skew = [0.0]
+        real_clock = time.perf_counter
+        monkeypatch.setattr(time, "perf_counter", lambda: real_clock() + skew[0])
+        polls, interrupted = [], []
+        original_verify = BoundedVerifier.verify
+
+        def verify(self, source, candidate):
+            deadline_check = self.interrupt
+
+            def poll():
+                polls.append(candidate)
+                skew[0] = 3600.0
+                return deadline_check()
+
+            self.interrupt = poll
+            try:
+                return original_verify(self, source, candidate)
+            except TestingInterrupted:
+                interrupted.append(candidate)
+                raise
+            finally:
+                self.interrupt = deadline_check
+
+        monkeypatch.setattr(BoundedVerifier, "verify", verify)
         bench = get_benchmark("coachup")
         config = _config(
-            verifier_max_updates=3, verifier_random_sequences=300, time_limit=0.4
+            verifier_max_updates=3, verifier_random_sequences=300, time_limit=600.0
         )
-        started = time.perf_counter()
-        result = SynthesisSession(bench.source_program, bench.target_schema, config).run()
-        elapsed = time.perf_counter() - started
-        assert result.timed_out and not result.succeeded
-        assert elapsed < 0.9, f"verification overran the 0.4s budget: {elapsed:.2f}s"
+        session = SynthesisSession(bench.source_program, bench.target_schema, config)
+        events = list(session.events())
+        assert len(polls) == 1 and interrupted == polls
+        assert session.result.timed_out and not session.result.succeeded
+        assert isinstance(events[-1], BudgetTimeout)
 
     def test_verifier_interrupt_hook(self, course_program):
         from repro.equivalence import BoundedVerifier, TestingInterrupted
 
         verifier = BoundedVerifier(max_updates=2, random_sequences=10)
+        verifier.interrupt = lambda: True
+        with pytest.raises(TestingInterrupted):
+            verifier.verify(course_program, course_program)
+        # The state-pair search polls once per query batch and per expansion.
+        verifier = BoundedVerifier(max_updates=2, random_sequences=0)
+        polls = []
+
+        def count_poll():
+            polls.append(None)
+            return False
+
+        verifier.interrupt = count_poll
+        verdict = verifier.verify(course_program, course_program)
+        assert verdict.equivalent and verifier.stats.ordered_fallbacks == 0
+        assert 0 < len(polls) < verdict.sequences_checked
         verifier.interrupt = lambda: True
         with pytest.raises(TestingInterrupted):
             verifier.verify(course_program, course_program)

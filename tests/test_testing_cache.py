@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Synthesizer, SynthesisConfig
-from repro.equivalence import BoundedTester
+from repro.equivalence import BoundedTester, SeedSet, SequenceGenerator
 from repro.lang.builder import ProgramBuilder, delete, eq, insert, select
 from repro.testing_cache import CounterexamplePool, SourceOutputCache
 
@@ -220,6 +220,20 @@ class TestSynthesizerCacheWiring:
         assert result.succeeded
         assert result.cache.candidates_fully_tested >= 1
         assert result.cache.source_cache_entries > 0
+
+    def test_result_carries_verifier_search_counters(self, people_program, people_schema):
+        config = _identity_config()
+        result = Synthesizer(config).synthesize(people_program, people_schema)
+        assert result.succeeded
+        # The accepted candidate was verified by the state-pair search, and
+        # far fewer distinct pairs stood in for the enumerated sequences.
+        enumerated = SequenceGenerator(
+            programs=[people_program, result.program],
+            seeds=SeedSet.exhaustive(),
+            max_updates=config.verifier_max_updates,
+        ).count()
+        assert result.cache.verifier_fallbacks == 0
+        assert 0 < result.cache.verifier_state_pairs < enumerated / 10
 
     def test_pool_flag_disables_screening(self, people_program, people_schema):
         result = Synthesizer(_identity_config(counterexample_pool=False)).synthesize(

@@ -1,8 +1,8 @@
 """Setup shim.
 
-The project is declared in ``pyproject.toml``; this file only exists so that
-``pip install -e .`` also works in offline environments that lack the
-``wheel`` package required for PEP 517 editable installs.
+The project is declared in ``pyproject.toml``.  This file only exists so
+that ``python setup.py install`` still works offline where pip's PEP 517
+builds cannot run because the ``wheel`` package is missing.
 """
 
 from setuptools import setup

@@ -5,9 +5,9 @@
 * ``python -m repro.corpus generate --seed 7 --count 3`` — print generated
   workloads: schema shape, refactoring steps, oracle sizes.
 * ``python -m repro.corpus fuzz --seed 7 --count 25`` — replay seeded
-  workloads through all three execution backends; exits non-zero and names
-  the seed + sequence on any divergence.  ``--seed-list`` writes a JSON
-  replay artifact (the CI ``corpus-smoke`` job archives it).
+  workloads through both execution backends and the sqlite3 oracle; exits
+  non-zero and names the seed + sequence on any divergence.  ``--seed-list``
+  writes a JSON replay artifact (the CI ``corpus-smoke`` job archives it).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         print(f"seed list written to {args.seed_list}")
     print(
         f"fuzzed {report.count} workloads (master seed {report.master_seed}) "
-        f"across {', '.join(report.backends)}: "
+        f"across {', '.join(report.backends)} and sqlite3: "
         f"{report.sequences_checked} sequences checked"
     )
     if report.ok:
@@ -140,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     generate.set_defaults(func=_cmd_generate)
 
     fuzz = commands.add_parser(
-        "fuzz", help="replay seeded workloads through all execution backends"
+        "fuzz", help="replay seeded workloads through the backends and sqlite3"
     )
     fuzz.add_argument("--seed", type=int, default=0, help="master seed")
     fuzz.add_argument("--count", type=int, default=25, help="workloads to fuzz")

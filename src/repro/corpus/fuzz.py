@@ -1,9 +1,10 @@
 """Backend-agreement fuzzing over generated workloads.
 
 :func:`fuzz_workload` replays a generated workload's bounded + randomized
-invocation sequences through all three execution backends (interpreter,
-compiled, columnar) on *both* the source program and its composed oracle,
-and flags:
+invocation sequences through both execution backends (interpreter,
+compiled) and the independent sqlite3 oracle
+(:mod:`repro.equivalence.sql_oracle`) on *both* the source program and its
+composed oracle, and flags:
 
 * **canonical-output divergence** — two backends return different
   canonicalized outputs for the same (program, sequence);
@@ -11,7 +12,10 @@ and flags:
   raises, or raise different exception classes;
 * **verdict divergence** — a backend's source-vs-oracle equivalence verdict
   differs from another backend's, or the source disagrees with its
-  known-good oracle at all (the generated-oracle soundness property).
+  known-good oracle at all (the generated-oracle soundness property);
+* **sqlite divergence** — sqlite3 returns different canonical outputs than
+  the interpreter on a sequence the interpreter runs cleanly (sequences
+  the oracle cannot translate are skipped).
 
 No synthesis runs here: fuzzing pins the execution/equivalence stack on
 unbounded generated input, cheaply enough for CI.  Everything derives from
@@ -29,10 +33,11 @@ from typing import Optional, Sequence
 from repro.engine.compiler import ProgramCompiler, make_runner
 from repro.equivalence.invocation import SequenceGenerator, format_sequence
 from repro.equivalence.result_compare import canonicalize_outputs
+from repro.equivalence.sql_oracle import OracleUnsupported, oracle_agrees
 from repro.corpus.generator import CorpusConfig, GeneratedWorkload, generate_workload
 
-#: The three execution backends every workload must agree across.
-ALL_BACKENDS = ("interpreter", "compiled", "columnar")
+#: The execution backends every workload must agree across.
+ALL_BACKENDS = ("interpreter", "compiled")
 
 
 @dataclass
@@ -41,7 +46,7 @@ class FuzzDivergence:
 
     workload: str
     seed: int
-    kind: str  # "outputs" | "error" | "verdict"
+    kind: str  # "outputs" | "error" | "verdict" | "sqlite"
     program: str  # "source" | "oracle" | "source-vs-oracle"
     sequence: str
     detail: str
@@ -90,6 +95,14 @@ def _outcome(run, program, sequence):
         return None, type(error).__name__
 
 
+def _sqlite_agrees(program, sequence) -> Optional[bool]:
+    """sqlite3 vs the interpreter on one sequence; ``None`` when skipped."""
+    try:
+        return oracle_agrees(program, sequence)
+    except OracleUnsupported:
+        return None
+
+
 def fuzz_workload(
     workload: GeneratedWorkload,
     *,
@@ -97,7 +110,10 @@ def fuzz_workload(
     max_sequences: int = 40,
     random_sequences: int = 10,
 ) -> tuple[int, list[FuzzDivergence]]:
-    """Replay one workload through all backends; returns (checked, divergences)."""
+    """Replay one workload through all backends and the sqlite3 oracle.
+
+    Returns ``(checked, divergences)``.
+    """
     source = workload.source_program
     oracle = workload.oracle_program
     compiler = ProgramCompiler()
@@ -168,6 +184,14 @@ def fuzz_workload(
                 "verdict", "source-vs-oracle", sequence,
                 f"backends disagree on the equivalence verdict: {verdicts}",
             )
+
+        # 3. The independent sqlite3 engine must agree with the interpreter.
+        for label, program in (("source", source), ("oracle", oracle)):
+            if _sqlite_agrees(program, sequence) is False:
+                report(
+                    "sqlite", label, sequence,
+                    "canonical outputs differ between interpreter and sqlite3",
+                )
     return checked, divergences
 
 

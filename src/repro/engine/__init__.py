@@ -1,13 +1,10 @@
 """Relational execution engine for database programs.
 
-Three backends share one semantics: the tree-walk interpreter (the
-reference, :mod:`repro.engine.interpreter`); the compiled backend
+Two backends share one semantics: the tree-walk interpreter (the reference,
+:mod:`repro.engine.interpreter`) and the compiled backend
 (:mod:`repro.engine.compiler`), which translates a program once into Python
-closures with hash joins, slotted rows and compile-time column offsets; and
-the columnar backend (:mod:`repro.engine.columnar`), which stores tables as
-parallel column lists with cached key indexes and adds batch kernels for
-the candidate-screening loop.  ``tests/test_compiled.py`` and
-``tests/test_columnar.py`` pin their output and error equivalence.
+closures with hash joins, slotted rows and compile-time column offsets.
+``tests/test_compiled.py`` pins their output and error equivalence.
 """
 
 from repro.engine.compiled import CompiledProgram, CompiledState, CRow
@@ -15,7 +12,6 @@ from repro.engine.compiler import (
     EXECUTION_BACKENDS,
     ProgramCompiler,
     compile_program,
-    make_batch_runner,
     make_runner,
     run_sequence_compiled,
 )
@@ -41,7 +37,6 @@ __all__ = [
     "compare",
     "compile_program",
     "evaluate_join",
-    "make_batch_runner",
     "make_runner",
     "evaluate_predicate",
     "resolve_operand",

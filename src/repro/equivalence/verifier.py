@@ -20,7 +20,7 @@ The exhaustive pass has two implementations with one result:
   :meth:`SequenceGenerator.sequences` from the empty database, in order, and
   stops at the first divergence.  It is the reference: the interpreter
   backend always uses it.
-* the **state-pair search** (compiled and columnar backends) walks the same
+* the **state-pair search** (compiled backend) walks the same
   sequence space depth by depth.  Queries are grouped by their relevant
   update set; every update invocation runs once on a fork of each distinct
   ``(source state, candidate state)`` pair, and every query invocation runs
@@ -112,8 +112,6 @@ class BoundedVerifier:
         self._compile: Optional[Callable] = None
         if execution_backend == "compiled":
             self._compile = compiler.compile_program
-        elif execution_backend == "columnar":
-            self._compile = compiler.compile_columnar
         # Optional shared source-output memo (same cache the tester uses; keys
         # include the program fingerprint, so sharing across runs — e.g. the
         # migration service verifying several candidates of the same source

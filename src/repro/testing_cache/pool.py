@@ -23,10 +23,11 @@ Screening order is computed once and cached: the sort key only changes when
 a sequence is added, evicted, or scores a hit, so the O(n log n) sort runs
 per pool *mutation*, not per screened candidate
 (``stats.snapshot_sorts`` counts actual sorts; pinned by a regression test).
-Under the columnar backend, :meth:`CounterexamplePool.screen_batch` screens
-a candidate against chunks of pooled sequences through the batch kernels
-while preserving the scalar path's first-hit answer and per-sequence
-bookkeeping.
+:meth:`CounterexamplePool.screen_batch` screens a candidate against chunks
+of pooled sequences through a caller-supplied first-divergence oracle while
+preserving :meth:`~CounterexamplePool.screen`'s first-hit answer and
+per-sequence bookkeeping.  Nothing in the package calls it; it is kept
+because the benchmark's trace hooks (``perfbench/spans.py``) wrap it by name.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ class PoolStatistics:
     hits: int = 0
     candidates_screened: int = 0
     sequences_screened: int = 0
-    #: Subset of ``sequences_screened`` executed through a batch kernel.
+    #: Subset of ``sequences_screened`` handed over by :meth:`screen_batch`.
     sequences_screened_batched: int = 0
-    #: Batch-kernel calls made by :meth:`screen_batch`.
+    #: Oracle calls made by :meth:`screen_batch`.
     screening_batches: int = 0
-    #: Largest single batch handed to the kernel (high-water mark).
+    #: Largest single batch handed to the oracle (high-water mark).
     max_batch_size: int = 0
     #: Times the screening order was actually sorted (≤ pool mutations).
     snapshot_sorts: int = 0
@@ -70,11 +71,7 @@ class CounterexamplePool:
     #: :attr:`BATCH_GROWTH` up to :attr:`MAX_BATCH`.  Small-first keeps a
     #: first-sequence hit (the common case — pools are sorted by kill rate)
     #: from paying for a large batch, while candidates that survive early
-    #: sequences quickly amortize dispatch over big batches.  The trie
-    #: kernel makes marginal sequences nearly free (shared prefixes execute
-    #: once), so chunks start moderately sized and grow steeply: fewer
-    #: chunks means fewer kernel dispatches and more prefix sharing per
-    #: dispatch, which dominates screening cost for surviving candidates.
+    #: sequences quickly amortize dispatch over big batches.
     FIRST_BATCH = 16
     BATCH_GROWTH = 16
     MAX_BATCH = 512
@@ -167,19 +164,18 @@ class CounterexamplePool:
     def screen_batch(
         self,
         candidate,
-        differs_on_batch: Callable[[object, list[InvocationSequence]], Optional[int]],
+        first_divergence: Callable[[object, list[InvocationSequence]], Optional[int]],
         budget: Optional[int] = None,
     ) -> Optional[InvocationSequence]:
         """Batched :meth:`screen`: same answer, chunked execution.
 
-        ``differs_on_batch(candidate, sequences)`` must return the index of
+        ``first_divergence(candidate, sequences)`` must return the index of
         the **first** sequence (in the given order) on which the candidate
-        fails, or ``None`` — the tester's batched oracle guarantees
-        first-divergence order, so the sequence returned here is exactly the
-        one :meth:`screen` would have returned.  ``stats.sequences_screened``
+        fails, or ``None``, so the sequence returned here is exactly the one
+        :meth:`screen` would have returned.  ``stats.sequences_screened``
         counts sequences up to and including the hit (scalar-identical),
         while ``stats.sequences_screened_batched`` counts sequences actually
-        handed to the kernel.
+        handed to the oracle.
         """
         self.stats.candidates_screened += 1
         started = time.perf_counter()
@@ -196,7 +192,7 @@ class CounterexamplePool:
                 if len(chunk) > self.stats.max_batch_size:
                     self.stats.max_batch_size = len(chunk)
                 self.stats.sequences_screened += len(chunk)
-                index = differs_on_batch(candidate, chunk)
+                index = first_divergence(candidate, chunk)
                 if index is not None:
                     # The scalar path would have stopped at the hit; don't
                     # count the rest of the chunk as screened.

@@ -12,6 +12,9 @@ interpreter — a divergence would make the tester's verdicts depend on the
 * hand-built ill-formed programs (the error modes PR 1's semantics work
   pinned for the interpreter) raise the same exception classes, including
   the lazy per-row errors that must *not* fire on empty tables;
+* the tester, the pool screen, the verifier and end-to-end synthesis reach
+  the same verdicts, counterexamples and bookkeeping under either backend
+  (all 20 synthesis trajectories under ``REPRO_FULL_EQUIV=1``);
 * the slotted data layer (`Row`, `JoinedRow`, `CRow`) rejects dynamic
   attributes, and the cached-column insert fast path keeps the public
   ``DatabaseInstance.insert`` behaviour.
@@ -19,11 +22,14 @@ interpreter — a divergence would make the tester's verdicts depend on the
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import SynthesisConfig, Synthesizer, migrate
 from repro.datamodel import DataType as T, DatabaseInstance, make_schema
 from repro.datamodel.instance import InstanceError, Row
 from repro.engine import (
@@ -36,9 +42,13 @@ from repro.engine import (
 from repro.engine.joins import ExecutionError
 from repro.engine.interpreter import InvocationError
 from repro.equivalence.invocation import SequenceGenerator
+from repro.equivalence.result_compare import canonicalize_outputs
 from repro.equivalence.tester import BoundedTester
+from repro.equivalence.verifier import BoundedVerifier
+from repro.lang.ast import UpdateFunction
 from repro.lang.builder import (
     ProgramBuilder,
+    const,
     delete,
     eq,
     in_query,
@@ -47,7 +57,11 @@ from repro.lang.builder import (
     select,
     update,
 )
+from repro.testing_cache import CounterexamplePool
 from repro.workloads.registry import load_all
+
+FULL_EQUIV = os.environ.get("REPRO_FULL_EQUIV") == "1"
+BACKENDS = ("interpreter", "compiled")
 
 
 def both_outcomes(program, sequence):
@@ -283,35 +297,178 @@ class TestCompiledEngine:
         for name in people_program.function_names:
             assert first.functions[name] is second.functions[name]
 
-    def test_tester_backends_agree_on_verdicts(self, people_program):
-        from repro.lang.ast import UpdateFunction
+    def test_empty_table_joins_yield_no_rows(self, two_table_schema):
+        pb = ProgramBuilder("p", two_table_schema)
+        pb.update("a", [("i", "int")], insert("A", {"A.id": "$i"}))
+        pb.query("q", [], select(["A.id", "B.y"], join(["A", "B"], on=[("A.id", "B.id")]), None))
+        program = pb.build(validate=False)
+        assert_equivalent(program, [("q", ())])  # both sides empty
+        assert_equivalent(program, [("a", (1,)), ("q", ())])  # build side empty
+        assert compile_program(program).run_sequence([("a", (1,)), ("q", ())]) == [[]]
 
-        broken = people_program.with_functions(
-            [f for f in people_program if f.name != "deletePerson"]
-            + [
-                # deletePerson that deletes everything: observably different.
-                UpdateFunction(
-                    "deletePerson",
-                    people_program.function("deletePerson").params,
-                    (delete(["Person"], "Person", None),),
-                )
-            ],
-            name="broken",
-        )
+    def test_fork_isolation(self):
+        """Forked states never observe each other's writes."""
+        from repro.engine.compiled import CompiledState
+
+        state = CompiledState(2)
+        state.append_row(0, [1, "a"])
+        state.append_row(0, [2, "b"])
+        clone = state.fork()
+        clone.tables[0][0].vals[1] = "mutated"
+        clone.append_row(0, [3, "c"])
+        assert [row.vals[1] for row in state.tables[0]] == ["a", "b"]
+        assert [row.vals[1] for row in clone.tables[0]] == ["mutated", "b", "c"]
+        # UID generators advance independently after the fork.
+        assert state.uids.fresh() == clone.uids.fresh()  # same counter at fork time
+        assert state.uids.fresh().index == clone.uids.fresh().index
+
+    def test_tester_backends_agree_on_verdicts(self, people_program):
+        broken = _deletes_everyone(people_program)
         verdicts = {}
-        for backend in ("interpreter", "compiled"):
+        stats = {}
+        for backend in BACKENDS:
             tester = BoundedTester(people_program, execution_backend=backend)
             verdicts[backend] = (
                 tester.find_failing_input(broken),
                 tester.check_equivalent(people_program.with_functions(list(people_program))),
             )
+            stats[backend] = (
+                tester.stats.sequences_executed,
+                tester.stats.full_enumerations,
+                tester.stats.full_enumeration_sequences,
+            )
         assert verdicts["interpreter"] == verdicts["compiled"]
+        assert stats["interpreter"] == stats["compiled"]
         failing, self_equivalent = verdicts["compiled"]
         assert failing is not None and self_equivalent
 
+    def test_pool_screening_backends_agree(self, people_program):
+        """Same pool hit, same screening bookkeeping under either backend."""
+        broken = _deletes_everyone(people_program)
+        results = {}
+        for backend in BACKENDS:
+            pool = CounterexamplePool()
+            tester = BoundedTester(people_program, execution_backend=backend, pool=pool)
+            first = tester.find_failing_input(broken)  # full enumeration, seeds pool
+            second = tester.find_failing_input(broken)  # pool screen hit
+            results[backend] = (
+                first,
+                second,
+                pool.stats.hits,
+                pool.stats.candidates_screened,
+                pool.stats.sequences_screened,
+                tester.stats.sequences_executed,
+            )
+        assert results["interpreter"] == results["compiled"]
+        first, second, hits = results["compiled"][:3]
+        assert first is not None and second == first and hits == 1
+
+    def test_verifier_backends_agree(self, people_program):
+        """The compiled search reproduces the interpreter's ordered loop."""
+        broken = _deletes_everyone(people_program)
+        clone = people_program.with_functions(list(people_program), name="clone")
+        results = {}
+        for backend in BACKENDS:
+            verifier = BoundedVerifier(
+                max_updates=2, random_sequences=25, execution_backend=backend
+            )
+            bad = verifier.verify(people_program, broken)
+            good = verifier.verify(people_program, clone)
+            results[backend] = (
+                bad.equivalent,
+                bad.counterexample,
+                bad.sequences_checked,
+                bad.method,
+                good.equivalent,
+                good.counterexample,
+                good.sequences_checked,
+                good.method,
+            )
+        assert results["interpreter"] == results["compiled"]
+        assert results["compiled"][0] is False and results["compiled"][4] is True
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_tester_rejects_bool_where_source_yields_int(self, backend):
+        """Raw outputs equal under ``True == 1`` are not enough to pass.
+
+        The source stores ``0`` and ``1``; the candidate stores ``0`` and
+        ``True``.  Python compares the raw query results equal, but the
+        canonical sort key orders bools before ints, so the canonical forms
+        differ and the candidate must be rejected.
+        """
+        def program(flag_type, one):
+            schema = make_schema("s", {"A": {"id": T.INT, "flag": flag_type}})
+            pb = ProgramBuilder("p", schema)
+            pb.update("zero", [], insert("A", {"A.id": const(0), "A.flag": const(0)}))
+            pb.update("one", [], insert("A", {"A.id": const(1), "A.flag": const(one)}))
+            pb.query("flags", [], select(["A.flag"], "A", None))
+            return pb.build(validate=False)
+
+        source, candidate = program(T.INT, 1), program(T.BOOL, True)
+        failing = BoundedTester(source, execution_backend=backend).find_failing_input(candidate)
+        assert failing is not None
+        expected = run_invocation_sequence(source, failing)
+        actual = run_invocation_sequence(candidate, failing)
+        assert expected == actual
+        assert canonicalize_outputs(expected) != canonicalize_outputs(actual)
+
     def test_unknown_backend_rejected(self, people_program):
-        with pytest.raises(ValueError):
-            BoundedTester(people_program, execution_backend="jit")
+        for name in ("jit", "vectorized"):
+            with pytest.raises(ValueError, match="known: \\('interpreter', 'compiled'\\)"):
+                BoundedTester(people_program, execution_backend=name)
+
+    def test_removed_backend_fails_loudly_under_migrate(self):
+        """The deleted column-store backend is an unknown name, not a fallback."""
+        bench = load_all().get("Oracle-1")
+        config = SynthesisConfig(execution_backend="columnar")
+        with pytest.raises(ValueError, match="known: \\('interpreter', 'compiled'\\)"):
+            migrate(bench.source_program, bench.target_schema, config)
+
+
+def _deletes_everyone(people_program):
+    """A candidate whose deletePerson deletes every row: observably different."""
+    return people_program.with_functions(
+        [f for f in people_program if f.name != "deletePerson"]
+        + [
+            UpdateFunction(
+                "deletePerson",
+                people_program.function("deletePerson").params,
+                (delete(["Person"], "Person", None),),
+            )
+        ],
+        name="broken",
+    )
+
+
+# ------------------------------------------------------ end-to-end trajectory
+TRAJECTORY_WORKLOADS = WORKLOADS if FULL_EQUIV else ["2030Club", "Ambler-5"]
+
+
+@pytest.mark.parametrize("name", TRAJECTORY_WORKLOADS)
+def test_synthesis_trajectory_matches_interpreter(name):
+    """Compiled synthesis follows the interpreter's exact trajectory.
+
+    Iterations, verdicts and pool bookkeeping must match run for run: the
+    backend may only change *how* sequences execute, never which candidate
+    survives or which counterexample is found.
+    """
+    workload = load_all().get(name)
+    outcomes = {}
+    for backend in BACKENDS:
+        config = dataclasses.replace(SynthesisConfig(), execution_backend=backend)
+        result = Synthesizer(config).synthesize(workload.source_program, workload.target_schema)
+        cache = result.cache
+        outcomes[backend] = (
+            result.succeeded,
+            result.iterations,
+            cache.pool_hits,
+            cache.pool_added,
+            cache.candidates_screened,
+            cache.candidates_fully_tested,
+            cache.screening_sequences,
+        )
+    assert outcomes["interpreter"] == outcomes["compiled"]
+    assert outcomes["compiled"][0]
 
 
 # ------------------------------------------------------------- data layer

@@ -399,20 +399,16 @@ def _verdict(verifier, source, candidate):
 
 
 def _assert_search_matches_ordered(source, candidate, **bounds):
-    """The search (compiled, columnar) against the ordered loop (interpreter).
+    """The search (compiled) against the ordered loop (interpreter).
 
     Returns the reference verdict and the compiled verifier's statistics.
     """
     reference = _verdict(
         BoundedVerifier(execution_backend="interpreter", **bounds), source, candidate
     )
-    stats = {}
-    for backend in ("compiled", "columnar"):
-        verifier = BoundedVerifier(execution_backend=backend, **bounds)
-        assert _verdict(verifier, source, candidate) == reference, (candidate.name, backend)
-        stats[backend] = verifier.stats
-    assert stats["compiled"] == stats["columnar"]
-    return reference, stats["compiled"]
+    verifier = BoundedVerifier(execution_backend="compiled", **bounds)
+    assert _verdict(verifier, source, candidate) == reference, candidate.name
+    return reference, verifier.stats
 
 
 def _dropped_statement(program):
@@ -443,7 +439,7 @@ def registry_programs():
 class TestSearchMatchesOrderedLoop:
     """``BoundedVerifier`` has two exhaustive passes with one result.
 
-    The state-pair search (compiled, columnar) must reproduce the ordered
+    The state-pair search (compiled) must reproduce the ordered
     reference loop (interpreter) field by field: verdict, first
     counterexample, ``sequences_checked`` and ``method``, and error
     propagation.  Rejected candidates go through the search's fallback.
@@ -545,16 +541,15 @@ class TestStateKeys:
     def _states(program):
         from repro.engine import ProgramCompiler
 
-        compiler = ProgramCompiler()
+        compiled = ProgramCompiler().compile_program(program)
         generator = SequenceGenerator(programs=[program], max_updates=2)
-        for compiled in (compiler.compile_program(program), compiler.compile_columnar(program)):
-            for plan in generator.plan():
-                for name, arg_list in plan.updates:
-                    for args in arg_list:
-                        state = compiled.new_state()
-                        compiled.call(state, name, args)
-                        compiled.call(state, name, args)
-                        yield compiled, state, plan
+        for plan in generator.plan():
+            for name, arg_list in plan.updates:
+                for args in arg_list:
+                    state = compiled.new_state()
+                    compiled.call(state, name, args)
+                    compiled.call(state, name, args)
+                    yield compiled, state, plan
 
     def test_queries_are_read_only(self, course_program, people_program):
         # The search runs every query on a pair's states in place.
@@ -574,11 +569,9 @@ class TestStateKeys:
             assert clone.key() != state.key()
 
     def test_key_distinguishes_cell_types(self):
-        from repro.engine.columnar import ColumnarState
         from repro.engine.compiled import CompiledState
 
-        for make in (lambda: CompiledState(1), lambda: ColumnarState((1,))):
-            as_bool, as_int = make(), make()
-            as_bool.append_row(0, [True])
-            as_int.append_row(0, [1])
-            assert as_bool.key() != as_int.key()
+        as_bool, as_int = CompiledState(1), CompiledState(1)
+        as_bool.append_row(0, [True])
+        as_int.append_row(0, [1])
+        assert as_bool.key() != as_int.key()

@@ -12,18 +12,18 @@ Two service modes are measured:
 
 * **in-process** (``max_workers=0``): sharing only — deterministic on any
   host, and the mode the ≥1.3x acceptance gate asserts on;
-* **process pool** (``max_workers=4``): sharing per worker process plus
+* **local workers** (``max_workers=4``): sharing per worker process plus
   job-level parallelism — reported for context, with no hard assertion
-  because the win depends on the host's core count (this container often
-  has a single core, where the pool can only add overhead).
+  because the win depends on the host's core count (on a single core the
+  workers can only add overhead).
 
 A second measurement covers the unified execution layer's event streaming:
-**first-event latency** under the queue transport — how long after
-``run()`` the first live typed event of a pooled (``max_workers > 1``)
-batch reaches the parent's ``on_event``.  Before the execution-layer
-refactor this quantity did not exist (pooled jobs delivered no live events
-at all); the gate asserts events arrive while the batch is still running,
-i.e. streaming is live rather than post-hoc.
+**first-event latency** over the local worker fleet — how long after
+``run()`` the first live typed event of a ``max_workers > 1`` batch
+reaches the parent's ``on_event``.  Before the execution-layer refactor
+this quantity did not exist (worker jobs delivered no live events at all);
+the gate asserts events arrive while the batch is still running, i.e.
+streaming is live rather than post-hoc.
 
 API v2 additions measured here too:
 
@@ -139,7 +139,7 @@ def test_service_batch_throughput():
 
 
 def test_streaming_first_event_latency():
-    """First-event latency of live streaming under the queue transport."""
+    """First-event latency of live streaming over the local worker fleet."""
     jobs = _jobs()
     first_event: list[float] = []
     events_total = [0]
@@ -156,13 +156,13 @@ def test_streaming_first_event_latency():
     total = time.perf_counter() - started
 
     assert all(handle.result is not None for handle in handles)
-    assert first_event, "pooled service streamed no live events"
+    assert first_event, "local-worker service streamed no live events"
     latency = first_event[0] - started
     print()
     print(
         render_table(
             ["Transport", "Jobs", "Events", "FirstEvent(ms)", "Batch(s)"],
-            [["queue (max_workers=2)", len(jobs), events_total[0], f"{latency * 1000:.0f}", f"{total:.2f}"]],
+            [["local fleet (max_workers=2)", len(jobs), events_total[0], f"{latency * 1000:.0f}", f"{total:.2f}"]],
             title="Live event streaming: first-event latency",
         )
     )
@@ -180,7 +180,7 @@ def test_parallel_session_first_event_latency():
 
     A ``SynthesisSession`` over a parallel configuration merges worker event
     streams live: the head attempt's events flow the moment the worker emits
-    them.  The gate mirrors the pooled-service one — the first typed event
+    them.  The gate mirrors the local-worker one — the first typed event
     must arrive while the run is still going, not after it.
     """
     bench = get_benchmark("Ambler-5")

@@ -2,9 +2,9 @@
 
 The same production scenario as examples/service_batch.py — one application
 migrated toward several candidate target schemas — but the jobs execute on
-**remote worker processes** (``python -m repro.worker``) instead of the
-in-process pool.  The service talks to them over the socket transport with
-unchanged semantics: typed events stream back live, a job store journals
+**remote worker processes** (``python -m repro.worker``) instead of
+forked local workers.  The service talks to them over the same socket
+transport with unchanged semantics: typed events stream back live, a job store journals
 which worker holds which lease, and a worker that dies mid-job is survived
 (its lease expires and the job is re-run elsewhere).
 

@@ -40,10 +40,10 @@ Version 2.0.0 — "streaming everywhere".  Breaking (the major bump):
 
 Additive in 2.0.0: ``JobStore`` + ``MigrationService(job_store=...)`` +
 ``MigrationService.resume(path)`` + ``JobHandle.restored``; queue-transport
-backpressure (``max_pending_events``, channel high-water/drop counters);
-scheduler crash recovery (bounded per-task retries instead of wholesale
-sequential fallback, surfacing as ``JobStatus.FAILED`` after retries
-exhaust); ``--scheduler-workers`` eval-harness table runs over the shared
+backpressure (a bounded event queue with high-water/drop counters, removed
+again in 3.0.0); scheduler crash recovery (bounded per-task retries instead
+of wholesale sequential fallback, surfacing as ``JobStatus.FAILED`` after
+retries exhaust; since 3.0.0 ``QUARANTINED``); ``--scheduler-workers`` eval-harness table runs over the shared
 :class:`~repro.exec.WorkScheduler`.
 
 Additive in 2.1.0 — "distributed execution": the socket transport and
@@ -67,7 +67,7 @@ policies and deterministic fault injection.  :class:`RetryPolicy` /
 jittered exponential backoff on crash retries, optional per-run retry
 budgets, and poison-task quarantine (``JobStatus.QUARANTINED`` /
 ``TaskState.QUARANTINED``) for tasks that repeatedly kill their workers.
-The graceful-degradation ladder (fleet -> local pool -> in-process
+The graceful-degradation ladder (fleet -> local workers -> in-process
 sequential) finishes batches against dead fleets with identical results;
 each rung emits an :class:`ExecutionDegraded` session event and journals a
 ``degraded`` record to the job store.  :class:`FaultPlan` /
@@ -101,6 +101,32 @@ workload registry — settling drifted jobs as the new loud
 ``JobStatus.INCOMPATIBLE`` terminal status instead of unpickling blind.
 ``MigrationJob`` gains ``tenant`` and ``workload`` fields (spec format
 v3; v1/v2 stores still resume).
+
+Version 3.0.0 — "one worker transport".  Local parallelism
+(``max_workers > 1``) now runs on forked workers over the same socket
+protocol as remote fleets, and the process-pool transport is gone.
+Breaking (the major bump), all removals:
+
+* the keyword bounding the pending-event queue, on ``MigrationService``,
+  ``MigrationService.resume`` and ``WorkScheduler``: there is no bounded
+  event queue, and nothing is load-shed — a slow subscriber slows its
+  worker through TCP flow control;
+* the channel counters: ``ChannelStats``, ``WorkScheduler.channel_stats()``
+  and the ``SchedulerStats`` high-water and dropped-event counters (also
+  gone from ``SynthesisResult.to_dict()["scheduler"]``);
+* ``RetryPolicy.max_retries``, ``WorkScheduler(max_retries=)`` and
+  ``DEFAULT_MAX_RETRIES``: a dead local worker follows the fleet rule —
+  re-lease, then ``QUARANTINED`` after ``quarantine_after`` lost workers
+  (was ``FAILED`` after ``max_retries`` pool breaks).  Job specs pickled
+  with the old field still resume;
+* the ``SchedulerStats`` pool-rebuild counter: losses count in
+  ``workers_lost``;
+* the queue channel, its shared-memory cancel flags and the
+  pool-initializer hooks (``worker_context`` and its installer).
+
+The degradation ladder keeps its shape and its names: the first rung
+swaps a remote fleet for local workers and is still reported as
+``"pool"`` in ``ExecutionDegraded`` events and ``degraded`` records.
 """
 
 from __future__ import annotations
@@ -148,7 +174,7 @@ from repro.service import (
 )
 
 #: Semantic version of this surface (not of the package implementation).
-API_VERSION = "2.3.0"
+API_VERSION = "3.0.0"
 
 __all__ = [
     "API_VERSION",

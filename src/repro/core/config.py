@@ -98,7 +98,7 @@ class SynthesisConfig:
     parallel_wave_size: Optional[int] = None
     #: Remote worker addresses (``"host:port"`` of listening ``repro.worker``
     #: processes).  When set, parallel exploration dispatches waves to the
-    #: fleet over the socket transport instead of a local process pool;
+    #: remote fleet instead of forked local workers (same socket transport);
     #: ``parallel_workers`` then only caps concurrent leases (0 = fleet
     #: capacity).  Counterexample pools sync by value between waves.
     execution_fleet: Optional[tuple[str, ...]] = None

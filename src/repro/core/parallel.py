@@ -38,20 +38,22 @@ uses — the parallel path is a different *scheduler* over the identical
 per-attempt behaviour, not a separate code path.  Waves are submitted with
 ``priority=index`` (so dispatch order equals enumeration order) and the
 run's wall-clock budget as each task's deadline, and workers honour the
-cross-process cooperative cancel signal the scheduler raises past the
-deadline (or that :meth:`SynthesisSession.cancel` raises mid-wave).
-Workers rebuild the core from the pickled configuration; programs, schemas
-and invocation sequences are plain picklable dataclasses and tuples.  If
-the platform cannot start worker processes at all, the driver degrades to a
-sequential session over the remaining budget (forwarding its events into
-the same stream).
+cross-process cooperative cancel signal (a ``cancel`` frame) the scheduler
+raises past the deadline (or that :meth:`SynthesisSession.cancel` raises
+mid-wave).  Workers are forked local processes, or a remote fleet with
+``config.execution_fleet``; both speak the same socket protocol.  Workers
+rebuild the core from the pickled configuration; programs, schemas and
+invocation sequences are plain picklable dataclasses and tuples.  An
+attempt whose workers keep dying settles quarantined and is recorded as a
+failed attempt.  If the platform cannot start worker processes at all, the
+driver degrades to a sequential session over the remaining budget
+(forwarding its events into the same stream).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
@@ -92,12 +94,7 @@ class AttemptStreamEnd:
     Internal to the parallel driver — it travels through the same channel as
     the typed session events (so ordering with respect to them is exact) but
     is consumed by the parent-side merge and never reaches subscribers.
-    ``channel_critical`` exempts it from backpressure load-shedding: a shed
-    end marker would stall the live ordered merge for the rest of the wave.
     """
-
-    #: Never load-shed by the queue transport (see repro.exec.channel).
-    channel_critical = True
 
     index: int
 
@@ -337,9 +334,9 @@ def drive_parallel_session(
         fleet=tuple(config.execution_fleet) if config.execution_fleet else None,
         retry=resilience.retry,
         timeout=resilience.timeout,
-        # The scheduler walks the fleet -> pool rung itself; the final
-        # pool -> sequential rung stays here (the sequential fallback
-        # re-plans the run rather than replaying pooled tasks).
+        # The scheduler walks the remote -> local rung itself; the final
+        # local -> sequential rung stays here (the sequential fallback
+        # re-plans the run rather than replaying worker tasks).
         degrade=resilience.degrade_ladder,
         degrade_workers=resilience.degrade_workers,
         on_degrade=lambda from_mode, to_mode, reason: emit(
@@ -438,12 +435,6 @@ def drive_parallel_session(
                     if handle.state is TaskState.DONE:
                         outcome: _WorkerOutcome = handle.result
                     elif handle.state is TaskState.FAILED:
-                        if isinstance(handle.exception, BrokenProcessPool):
-                            # Crash retries exhausted: this environment
-                            # cannot keep worker processes alive.  Degrade
-                            # like 1.x did instead of surfacing a raw pool
-                            # error out of migrate().
-                            raise ExecutorUnavailable(handle.error)
                         raise handle.exception  # worker bug: do not mask it
                     elif handle.state is TaskState.QUARANTINED:
                         # Poison attempt: it kept killing workers, so it is
@@ -507,9 +498,9 @@ def drive_parallel_session(
                 # the lease cap (0 = uncapped would read as "no parallelism").
                 result.parallel_workers_used = scheduler.fleet.worker_count
 
-    # The with-block folded channel stats (and fleet losses) into the
-    # scheduler's lifetime counters: surface them on the result so
-    # backpressure shedding and crash retries are visible, not silent.
+    # The with-block folded worker losses into the scheduler's lifetime
+    # counters: surface them on the result so crash retries are visible,
+    # not silent.
     result.scheduler = dataclasses.asdict(scheduler.stats)
     result.degradations = scheduler.stats.degradations
     injector = faults.active()
@@ -554,8 +545,8 @@ def _degrade_into_sequential(
 
     The inner session's events forward into the parent stream and its result
     is adopted wholesale — the caller asked for one time limit, not one per
-    strategy, and the degraded run *is* the run.  If the pool died *mid*-run
-    (rather than failing to start), events of the abandoned waves were
+    strategy, and the degraded run *is* the run.  If the workers died
+    *mid*-run (rather than failing to start), events of the abandoned waves were
     already emitted, so the stream restarts from enumeration index 1 at the
     degrade point: a documented anomaly of this already-pathological path —
     the post-restart events are the ones the adopted result's

@@ -478,7 +478,8 @@ class SynthesisSession:
     streams live, later attempts buffer until every earlier one has ended,
     so event order is a function of the trajectory, not of worker timing.
     Two parallel-mode deltas to the sequential contract: ``on_event`` fires
-    from the event-router thread (not the consuming thread), and in a
+    from a worker connection's receiver thread (not the consuming thread),
+    and in a
     winning wave the attempts *after* the winner that were already in
     flight still contribute their (recorded) events after the winner's
     :class:`Solved` — with ``parallel_wave_size=1`` neither delta is
@@ -504,11 +505,10 @@ class SynthesisSession:
         self._on_event = on_event
         # *cancel_signal* injects an external cancellation signal — anything
         # with the ``threading.Event`` set()/is_set() surface.  The execution
-        # layer passes a cross-process flag here so ``JobHandle.cancel()``
-        # reaches a session running inside a pooled worker (see
-        # repro.exec.channel.FlagSignal); ``cancel()`` and the cooperative
-        # polling inside completion/testing go through the same object either
-        # way.
+        # layer passes the task's cancel event here, which a worker raises on
+        # a ``cancel`` frame, so ``JobHandle.cancel()`` reaches a session
+        # running on a worker; ``cancel()`` and the cooperative polling
+        # inside completion/testing go through the same object either way.
         self._cancel = cancel_signal if cancel_signal is not None else threading.Event()
         #: Callbacks cancel() invokes besides setting the flag — the parallel
         #: driver registers one per wave so a cancel reaches the cross-process

@@ -184,10 +184,7 @@ SCHEDULER_HEADERS = [
     "Retries",
     "Quarantined",
     "Degraded",
-    "PoolRebuilds",
     "WorkersLost",
-    "EventsHWM",
-    "EventsDropped",
 ]
 
 
@@ -206,11 +203,9 @@ def _stat(stats, name: str, default=0):
 def scheduler_summary_row(stats) -> list:
     """One row summarizing a :class:`~repro.exec.SchedulerStats` (or its dict).
 
-    Covers the task-lifecycle counters, the crash-recovery counters (retries,
-    poison-task quarantines, degradation-ladder steps, pool rebuilds, remote
-    workers lost) and the channel-load counters
-    (queue-transport backpressure: pending-event high-water mark and events
-    shed by producers) folded in when channels close.
+    Covers the task-lifecycle counters and the crash-recovery counters
+    (retries, poison-task quarantines, degradation-ladder steps, workers
+    lost).
     """
     return [
         _stat(stats, "tasks_submitted"),
@@ -221,10 +216,7 @@ def scheduler_summary_row(stats) -> list:
         _stat(stats, "task_retries"),
         _stat(stats, "tasks_quarantined"),
         _stat(stats, "degradations"),
-        _stat(stats, "pool_rebuilds"),
         _stat(stats, "workers_lost"),
-        _stat(stats, "events_high_water"),
-        _stat(stats, "events_dropped"),
     ]
 
 

@@ -132,7 +132,7 @@ def _run_benchmark_task(payload, _ctx) -> Table1Row:
     registry is deterministic), so the task payload stays a small
     ``(name, config)`` pickle instead of shipping program/schema objects.
     Per-run ``parallel_workers`` is forced to 0: the harness parallelizes
-    *across* workloads, and nesting a process pool inside a scheduler
+    *across* workloads, and nesting worker processes inside a scheduler
     worker is unsupported (and would oversubscribe the host) — the same
     rule the migration service applies to its jobs.
     """

@@ -6,8 +6,6 @@ crash retries with a bare integer, ``RemoteFleet`` redialed on a fixed
 delay.  ``RetryPolicy`` and ``TimeoutPolicy`` centralise those knobs so
 every seam (scheduler, fleet, worker, service) reads the same semantics:
 
-* **max_retries** — how many times a task may be re-run after a process
-  pool breaks underneath it before it settles FAILED.
 * **quarantine_after** — how many *worker-killing* re-leases a task may
   cause before it is quarantined (settled ``QUARANTINED`` instead of
   being handed to yet another worker it will probably kill).
@@ -32,10 +30,12 @@ __all__ = ["RetryPolicy", "TimeoutPolicy", "ResilienceConfig"]
 
 @dataclasses.dataclass(frozen=True)
 class RetryPolicy:
-    """How many times, and how eagerly, failed work is re-attempted."""
+    """How many times, and how eagerly, failed work is re-attempted.
 
-    #: Pool-break incidents a task survives before settling FAILED.
-    max_retries: int = 2
+    Job specs pickled before the ``max_retries`` field was removed still
+    load: the stale value lands as a plain instance attribute nothing reads.
+    """
+
     #: Worker-killing re-leases a task may cause before QUARANTINED.
     quarantine_after: int = 2
     #: Optional scheduler-wide cap on total crash retries (None = unbounded).
@@ -72,7 +72,7 @@ class TimeoutPolicy:
 
     #: Seconds past a task deadline before the scheduler cancels it.
     deadline_grace: float = 5.0
-    #: Idle-poll interval while waiting for pooled futures.
+    #: Seconds past a deadline before the scheduler's cooperative cancel nudge.
     nudge_delay: float = 1.0
     #: Socket connect timeout for worker dials.
     connect_timeout: float = 5.0
@@ -88,7 +88,8 @@ class ResilienceConfig:
 
     retry: RetryPolicy = dataclasses.field(default_factory=RetryPolicy)
     timeout: TimeoutPolicy = dataclasses.field(default_factory=TimeoutPolicy)
-    #: Walk the fleet -> pool -> sequential ladder instead of failing fast.
+    #: Walk the remote fleet -> local workers -> sequential ladder instead
+    #: of failing fast.
     degrade_ladder: bool = True
-    #: Pool width used when degrading from a lost fleet.
+    #: Local worker count used when degrading from a lost remote fleet.
     degrade_workers: int = 2

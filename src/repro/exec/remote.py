@@ -1,25 +1,27 @@
-"""Socket transport: a remote-worker fleet behind the channel/scheduler contract.
+"""Socket transport: the worker fleet behind the channel/scheduler contract.
 
-This module is the coordinator side of distributed execution.  A
-:class:`RemoteFleet` owns the connections to ``repro.worker`` processes
-(possibly on other machines) and presents two familiar surfaces to
-:class:`~repro.exec.scheduler.WorkScheduler`:
+This module is the coordinator side of every multi-process execution.  A
+:class:`RemoteFleet` owns the connections to ``repro.worker`` agents and
+presents two familiar surfaces to :class:`~repro.exec.scheduler.WorkScheduler`:
 
-* a **channel** — :class:`SocketChannel` satisfies the same contract as
-  :class:`~repro.exec.channel.DirectChannel` / ``QueueChannel``: per-task
-  event ordering (each worker connection is drained by one receiver thread,
-  so a task's frames arrive in emission order), an end-of-stream marker
-  (the worker's ``task_end`` frame) gating :meth:`TaskPort.wait_drained`,
-  and cross-process cancellation (``TaskPort.cancel`` sends a ``cancel``
-  frame; the worker's receiver thread raises the task's cancel event);
+* a **channel** — :class:`SocketChannel` satisfies the same contract as the
+  in-process :class:`~repro.exec.channel.DirectChannel`: per-task event
+  ordering (each worker connection is drained by one receiver thread, so a
+  task's frames arrive in emission order), an end-of-stream marker (the
+  worker's ``task_end`` frame) gating :meth:`TaskPort.wait_drained`, and
+  cross-process cancellation (``TaskPort.cancel`` sends a ``cancel`` frame;
+  the worker's receiver thread raises the task's cancel event);
 * an **executor** — :meth:`RemoteFleet.submit` returns a plain
   ``concurrent.futures.Future`` resolved by the owning connection's
-  receiver thread, so the scheduler's pooled drain loop waits on fleet
-  futures exactly like pool futures.
+  receiver thread, so the scheduler's drain loop waits on fleet futures.
 
-Topologies (the protocol is direction-agnostic — the worker always sends
-``hello`` first, see :mod:`repro.exec.wire`):
+Where the workers run (the protocol is direction-agnostic — the worker
+always sends ``hello`` first, see :mod:`repro.exec.wire`):
 
+* **local** — :class:`LocalFleet` forks ``size`` workers on this host, each
+  serving one end of a ``socket.socketpair()``.  This is what
+  ``WorkScheduler(max_workers>1)`` builds, so local and remote parallelism
+  share one transport, one crash rule and one cancel path;
 * **dial** — the fleet connects out to workers started with
   ``python -m repro.worker --listen HOST:PORT`` (addresses via
   ``RemoteFleet(workers=[...])``, ``MigrationService(workers=[...])`` or
@@ -34,22 +36,23 @@ worker's heartbeats and optionally journalled to a
 ``released`` records with worker id and expiry).  A worker whose
 connection drops, or that stays silent past ``lease_ttl``, is declared
 lost: its in-flight futures fail with :class:`WorkerLost`, which the
-scheduler treats like a pool-break crash for just those tasks — charge a
-retry and **re-lease** them to a surviving worker (recorded as a fresh
-``leased`` line).  Because a lost worker's socket is closed before its
-futures fail, a straggler result from a worker that was merely slow can
-never settle the task a second time: execution is at-least-once under
-crashes, settlement exactly-once — the same contract the queue transport's
-crash recovery established.
+scheduler turns into a retry-charged **re-lease** to a surviving worker
+(recorded as a fresh ``leased`` line), and into ``QUARANTINED`` once a task
+has lost ``quarantine_after`` workers.  Because a lost worker's socket is
+closed before its futures fail, a straggler result from a worker that was
+merely slow can never settle the task a second time: execution is
+at-least-once under crashes, settlement exactly-once.
 
-Backpressure: the socket transport sheds nothing.  A slow coordinator
-propagates TCP flow control back to the workers' ``sendall``, so
-:attr:`SocketChannel.stats` reports zero drops by construction (the
-high-water/drop counters exist for the bounded-queue transport).
+Backpressure: the socket transport sheds nothing.  A slow subscriber
+blocks the receiver thread, and TCP flow control carries that back to the
+worker's ``sendall``.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+import os
 import random
 import socket
 import threading
@@ -60,7 +63,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.exec import wire
-from repro.exec.channel import ChannelStats, TaskPort
+from repro.exec.channel import TaskPort
 from repro.exec.policy import RetryPolicy
 
 #: Seconds between worker heartbeats (announced in the welcome frame).
@@ -75,7 +78,7 @@ DEFAULT_START_TIMEOUT = 20.0
 
 
 class WorkerLost(RuntimeError):
-    """A remote worker vanished (connection drop or lease expiry) mid-task.
+    """A worker vanished (connection drop or lease expiry) mid-task.
 
     Raised as the exception of the affected futures; the scheduler's drain
     loop converts it into a retry-charged re-lease, never a drain failure.
@@ -84,6 +87,19 @@ class WorkerLost(RuntimeError):
 
 class FleetUnavailable(RuntimeError):
     """The fleet has no live workers (and none arrived within the timeout)."""
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Shut *sock* down and close it.
+
+    ``shutdown`` is what wakes a thread blocked in ``recv``/``accept`` on
+    the socket; ``close`` alone leaves it blocked.
+    """
+    for step in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+        try:
+            step()
+        except OSError:
+            pass
 
 
 # ---------------------------------------------------------------- channel
@@ -110,8 +126,8 @@ class SocketChannel:
 
     Events arrive as ``event`` frames on the per-worker receiver threads and
     are dispatched synchronously to the bound subscriber — same isolation
-    contract as the queue transport's router (a raising subscriber is
-    recorded on the port, the receiver keeps running).  The worker's
+    contract as :class:`~repro.exec.channel.DirectChannel` (a raising
+    subscriber is recorded on the port, the receiver keeps running).  The worker's
     ``task_end`` frame is the end-of-stream marker; it precedes the
     ``result`` frame on the same ordered connection, so a settling task's
     stream is always fully delivered first.
@@ -127,7 +143,7 @@ class SocketChannel:
 
     def bind(self, task_id: int, on_event: Optional[Callable[[Any], None]]) -> TaskPort:
         port = TaskPort(
-            self, task_id, -1, on_event is not None, None, _FleetCancelSignal(self._fleet, task_id)
+            self, task_id, on_event is not None, None, _FleetCancelSignal(self._fleet, task_id)
         )
         if on_event is not None:
             with self._lock:
@@ -158,18 +174,13 @@ class SocketChannel:
             return True
         return entry[1].wait(timeout)
 
-    def _release(self, port: TaskPort, recycle: bool) -> None:
+    def _release(self, port: TaskPort) -> None:
         with self._lock:
             self._subscribers.pop(port.task_id, None)
 
     def close(self) -> None:
         with self._lock:
             self._subscribers.clear()
-
-    @property
-    def stats(self) -> ChannelStats:
-        """Zeros by construction: TCP flow control replaces load shedding."""
-        return ChannelStats()
 
 
 # ------------------------------------------------------------------ fleet
@@ -208,7 +219,7 @@ class _WorkerLink:
 
 
 class RemoteFleet:
-    """A set of remote workers driven by one scheduler at a time.
+    """A set of socket-connected workers driven by one scheduler at a time.
 
     *workers* are ``"host:port"`` addresses to dial (workers running
     ``--listen``); *listen* is a local ``"host:port"`` to accept
@@ -244,7 +255,7 @@ class RemoteFleet:
         self.lease_log = lease_log
         self.retry = retry or RetryPolicy()
         #: Workers declared lost over the fleet's lifetime (folded into
-        #: SchedulerStats.workers_lost when a borrowing scheduler closes).
+        #: SchedulerStats.workers_lost when the driving scheduler closes).
         self.workers_lost = 0
         #: Last lease-journal write error, if any (journalling is best-effort:
         #: a full disk must not take the fleet down with it).
@@ -258,6 +269,8 @@ class RemoteFleet:
         self._listener: Optional[socket.socket] = None
         self._started = False
         self._closed = False
+        #: Set by close(): wakes the monitor and dial loops out of their waits.
+        self._stop = threading.Event()
         if listen is not None:
             host, port = wire.parse_address(listen)
             self._listener = socket.create_server((host, port))
@@ -297,16 +310,20 @@ class RemoteFleet:
             starting = not self._started
             self._started = True
         if starting:
-            if self._listener is not None:
-                self._spawn(self._accept_loop, "repro-fleet-accept")
-            for address in self.addresses:
-                self._spawn(lambda addr=address: self._dial_loop(addr), "repro-fleet-dial")
             self._spawn(self._monitor_loop, "repro-fleet-monitor")
+            self._connect_workers()
         if not self.wait_for_capacity(self.start_timeout, workers=self.min_workers):
             raise FleetUnavailable(
                 f"fleet has {self.worker_count}/{self.min_workers} worker(s) "
                 f"after {self.start_timeout:.0f}s"
             )
+
+    def _connect_workers(self) -> None:
+        """Start the registration machinery: accept and dial threads."""
+        if self._listener is not None:
+            self._spawn(self._accept_loop, "repro-fleet-accept")
+        for address in self.addresses:
+            self._spawn(lambda addr=address: self._dial_loop(addr), "repro-fleet-dial")
 
     def wait_for_capacity(self, timeout: float, *, workers: int = 1) -> bool:
         """Block until at least *workers* workers are registered (or timeout)."""
@@ -322,38 +339,37 @@ class RemoteFleet:
     def _spawn(self, target: Callable[[], None], name: str) -> None:
         thread = threading.Thread(target=target, name=name, daemon=True)
         thread.start()
-        self._threads.append(thread)
+        with self._lock:
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
 
     def close(self) -> None:
+        """Shut every worker link down; returns once the fleet's threads exit."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            self._stop.set()
             links = list(self._links.values())
             self._links.clear()
             self._task_owner.clear()
+            for link in links:
+                # Marked under the lock so a racing loss or expiry backs off.
+                link.lost = True
             self._roster_changed.notify_all()
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - already torn down
-                pass
+            _hang_up(self._listener)
         for link in links:
-            # Mark lost under the lock so a monitor expire scan racing this
-            # close sees the link as already handled and backs off.
-            with self._lock:
-                link.lost = True
             try:
                 link.send({"type": "shutdown"})
             except OSError:
                 pass
-            try:
-                link.sock.close()
-            except OSError:  # pragma: no cover
-                pass
+            _hang_up(link.sock)
             self._fail_inflight(link, "fleet closed with work in flight")
         self.channel.close()
-        for thread in self._threads:
+        with self._lock:
+            threads = [t for t in self._threads if t is not threading.current_thread()]
+        for thread in threads:
             thread.join(timeout=2.0)
 
     def __enter__(self) -> "RemoteFleet":
@@ -389,12 +405,13 @@ class RemoteFleet:
             except OSError:
                 attempt += 1
                 delay = self.retry.backoff_delay(attempt, rng) or 0.2
-                time.sleep(min(delay, max(0.0, deadline - time.time())))
+                self._stop.wait(min(delay, max(0.0, deadline - time.time())))
                 continue
             self._register(sock)
             return
 
-    def _register(self, sock: socket.socket) -> None:
+    def _register(self, sock: socket.socket) -> bool:
+        """Handshake one connected worker and start its receiver thread."""
         try:
             sock.settimeout(10.0)
             hello = wire.coordinator_accept(
@@ -409,7 +426,7 @@ class RemoteFleet:
                 sock.close()
             except OSError:  # pragma: no cover
                 pass
-            return
+            return False
         link = _WorkerLink(sock, hello)
         with self._roster_changed:
             if self._closed or link.worker_id in self._links:
@@ -417,13 +434,14 @@ class RemoteFleet:
                 reason = "duplicate worker id" if duplicate else "fleet is closed"
                 try:
                     link.send({"type": "shutdown", "reason": reason})
-                    sock.close()
                 except OSError:
                     pass
-                return
+                _hang_up(link.sock)
+                return False
             self._links[link.worker_id] = link
             self._roster_changed.notify_all()
         self._spawn(lambda: self._serve_link(link), f"repro-fleet-recv-{link.worker_id}")
+        return True
 
     # -------------------------------------------------------------- receiving
     def _serve_link(self, link: _WorkerLink) -> None:
@@ -437,6 +455,12 @@ class RemoteFleet:
                 self._lose_worker(link, f"connection failed ({error})")
                 return
             kind = header.get("type")
+            if kind != "heartbeat":
+                # Any frame proves the worker alive.  A slow subscriber
+                # delays the heartbeats queued behind a burst of events; the
+                # worker is busy then, not silent.
+                with self._lock:
+                    link.last_beat = time.time()
             if kind == "event":
                 self.channel._dispatch(header["task"], wire.load_payload(payload))
             elif kind == "task_end":
@@ -508,22 +532,30 @@ class RemoteFleet:
             pass
 
     # ------------------------------------------------------------ worker loss
-    def _lose_worker(self, link: _WorkerLink, reason: str) -> None:
+    def _lose_worker(self, link: _WorkerLink, reason: str, *, silent: bool = False) -> bool:
+        """Declare one link lost and fail its leases; True when it was.
+
+        The whole decision is taken under the lock: a link already lost
+        (or torn down by ``close()``) is left alone, and with *silent* the
+        link must still be silent past ``lease_ttl`` — a heartbeat may have
+        renewed ``last_beat`` since the monitor's scan.
+        """
         with self._roster_changed:
-            if link.lost:
-                return
+            if link.lost or self._closed:
+                return False
+            if silent and time.time() - link.last_beat <= self.lease_ttl:
+                return False
             link.lost = True
-            closing = self._closed
             self._links.pop(link.worker_id, None)
-            if not closing:
-                self.workers_lost += 1
+            self.workers_lost += 1
             self._roster_changed.notify_all()
-        try:
-            link.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-        if not closing:
-            self._fail_inflight(link, reason)
+        _hang_up(link.sock)
+        self._fail_inflight(link, reason)
+        self._worker_gone(link)
+        return True
+
+    def _worker_gone(self, link: _WorkerLink) -> None:
+        """Hook run after a worker is lost (a local fleet replaces it)."""
 
     def _fail_inflight(self, link: _WorkerLink, reason: str) -> None:
         with self._lock:
@@ -551,38 +583,15 @@ class RemoteFleet:
             )
 
     def _expire_link(self, link: _WorkerLink, reason: str) -> bool:
-        """Expire one silent link's lease — the *entire* decision under the lock.
-
-        Re-validates under ``self._lock`` that the link is still live
-        (not already being closed by ``_lose_worker``/``close()``) and
-        still silent (a heartbeat may have renewed ``last_beat`` between
-        the monitor's scan and this call).  Only then is the loss
-        committed, atomically with the decision — the monitor can never
-        expire a lease out from under a concurrent close.  Returns True
-        when the link was expired.
-        """
-        with self._roster_changed:
-            if link.lost or self._closed:
-                return False
-            if time.time() - link.last_beat <= self.lease_ttl:
-                return False  # renewed since the scan: not silent after all
-            link.lost = True
-            self._links.pop(link.worker_id, None)
-            self.workers_lost += 1
-            self._roster_changed.notify_all()
-        try:
-            link.sock.close()
-        except OSError:  # pragma: no cover
-            pass
-        self._fail_inflight(link, reason)
-        return True
+        """Expire one silent link's leases (a no-op if renewed or closing)."""
+        return self._lose_worker(link, reason, silent=True)
 
     def _monitor_loop(self) -> None:
         interval = max(0.05, min(self.heartbeat_interval, self.lease_ttl / 3))
         rng = random.Random(f"monitor:{id(self)}")
-        while not self._closed:
-            # Jitter the scan period so restarted fleets don't expire in step.
-            time.sleep(interval * rng.uniform(0.8, 1.2))
+        # Jitter the scan period so restarted fleets don't expire in step;
+        # close() sets _stop, so the loop never outlives the fleet.
+        while not self._stop.wait(interval * rng.uniform(0.8, 1.2)):
             now = time.time()
             with self._lock:
                 silent = [
@@ -679,3 +688,101 @@ class RemoteFleet:
             log.append(record)
         except Exception as error:  # noqa: BLE001 - journalling is best-effort
             self.lease_log_error = error
+
+
+# ------------------------------------------------------------ local workers
+def _mp_context():
+    """The multiprocessing context local workers start from.
+
+    Fork, so a worker starts in milliseconds with the parent's imports (and
+    an active fault plan) already in place; spawn where fork is missing.
+    """
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context("spawn")
+
+
+def _serve_local(agent, sock: socket.socket) -> None:
+    """Child-process entry of a local worker: serve one socketpair end."""
+    with sock:
+        agent.serve(sock)
+
+
+class LocalFleet(RemoteFleet):
+    """*size* workers forked on this host, each on one end of a socketpair.
+
+    Built and owned by ``WorkScheduler(max_workers>1)``.  Workers register
+    through the same handshake as remote ones; there is no listener and no
+    lease journal.  A lost worker is killed (it may be wedged rather than
+    dead) and replaced, so the fleet keeps its width; :meth:`close` reaps
+    every child before it returns.
+    """
+
+    def __init__(self, size: int):
+        super().__init__(min_workers=size)
+        self._processes: dict[str, Any] = {}
+        self._serial = itertools.count(1)
+        #: Serializes forks: a sibling forked while another worker's child
+        #: end is still open here would keep that end alive, and the
+        #: worker's death would no longer read as EOF on our end.
+        self._fork_lock = threading.Lock()
+
+    def _connect_workers(self) -> None:
+        try:
+            ends = [self._start_worker() for _ in range(self.min_workers)]
+        except OSError as error:
+            raise FleetUnavailable(f"cannot start local workers: {error}") from error
+        if not all([self._register(sock) for sock in ends]):
+            raise FleetUnavailable("a local worker failed its handshake")
+
+    def _start_worker(self) -> socket.socket:
+        """Fork one worker; returns our end of its socketpair."""
+        from repro.worker import WorkerAgent  # repro.worker imports this package
+
+        agent = WorkerAgent(worker_id=f"local-{os.getpid()}-{next(self._serial)}")
+        with self._fork_lock:
+            if self._closed:
+                raise OSError("fleet is closed")
+            ours, theirs = socket.socketpair()
+            process = _mp_context().Process(
+                target=_serve_local, args=(agent, theirs), name=agent.worker_id, daemon=True
+            )
+            try:
+                process.start()
+            except BaseException:
+                ours.close()
+                raise
+            finally:
+                theirs.close()
+            self._processes[agent.worker_id] = process
+        return ours
+
+    def _worker_gone(self, link: _WorkerLink) -> None:
+        with self._fork_lock:
+            process = self._processes.pop(link.worker_id, None)
+        if process is not None:
+            _reap(process, timeout=0.0)
+        self._spawn(self._replace_worker, "repro-fleet-respawn")
+
+    def _replace_worker(self) -> None:
+        try:
+            self._register(self._start_worker())
+        except OSError:
+            pass  # closed, or fork failed: the drain's capacity wait reports it
+
+    def close(self) -> None:
+        super().close()
+        with self._fork_lock:
+            processes = list(self._processes.values())
+            self._processes.clear()
+        for process in processes:
+            _reap(process, timeout=2.0)
+
+
+def _reap(process, *, timeout: float) -> None:
+    """Join a local worker, killing it first if it outlives *timeout*."""
+    process.join(timeout)
+    if process.is_alive():
+        process.kill()
+        process.join()

@@ -35,23 +35,24 @@ transports:
 * ``max_workers <= 1`` — jobs run **in-process**, one
   :class:`~repro.core.session.SynthesisSession` at a time, events delivered
   through the direct (synchronous callback) transport.
-* ``max_workers > 1`` — jobs run on **worker processes**.  Typed session
-  events stream *live* through the queue transport (``on_event`` fires
-  mid-job, from the router thread), and ``JobHandle.cancel()`` reaches a
-  running worker through the cross-process cancel flag — the session winds
-  down cooperatively at its next completion iteration or tested sequence,
-  exactly like the in-process mode.  Shared artifacts live in per-process
-  globals.
+* ``max_workers > 1`` — jobs run on **local worker processes**, forked
+  per ``run()`` and reached over the socket transport.  Typed session
+  events stream *live* (``on_event`` fires mid-job, from the connection's
+  receiver thread), and ``JobHandle.cancel()`` reaches a running worker as
+  a ``cancel`` frame — the session winds down cooperatively at its next
+  completion iteration or tested sequence, exactly like the in-process
+  mode.  Shared artifacts live in per-process globals.
 * ``workers=["host:port", ...]`` — jobs run on **remote workers** (a
   :class:`~repro.exec.remote.RemoteFleet` of ``repro.worker`` processes,
-  possibly on other machines) over the socket transport, with the same
-  streaming, cancellation and retry semantics; counterexample pools sync by
-  value (snapshots out, discoveries back) since there is no shared memory,
-  and the job store doubles as the fleet's lease journal.
+  possibly on other machines) over the same transport, with the same
+  streaming, cancellation and retry semantics, and the job store doubles
+  as the fleet's lease journal.
 
-Inside the service, per-job ``parallel_workers`` is forced to 0: the service
-parallelizes *across* jobs, and nesting process pools inside worker
-processes is not supported.
+Either way counterexample pools sync by value (snapshots out, discoveries
+back), since workers share no memory with the service.  Inside the
+service, per-job ``parallel_workers`` is forced to 0: the service
+parallelizes *across* jobs, and nesting worker fleets inside workers is
+not supported.
 
 Persistence: construct the service with ``job_store=<path>`` and every job's
 lifecycle (submission with a rebuildable spec, dispatch, terminal snapshot)
@@ -186,11 +187,11 @@ class JobHandle:
     def cancel(self) -> None:
         """Request cancellation.
 
-        Pending jobs are skipped.  A running job — in-process *or* inside a
-        pooled worker — winds down cooperatively at its next completion-loop
+        Pending jobs are skipped.  A running job — in-process *or* on a
+        worker — winds down cooperatively at its next completion-loop
         iteration or tested sequence: the request crosses the process
-        boundary through the execution layer's shared cancel flag and the
-        job settles with a partial, ``cancelled`` result.
+        boundary as a ``cancel`` frame and the job settles with a partial,
+        ``cancelled`` result.
         """
         self._cancel.set()
         if self._session is not None:
@@ -237,7 +238,7 @@ class JobHandle:
 
 @dataclass
 class _JobTask:
-    """One job shipped to a service worker (pool process or remote peer)."""
+    """One job shipped to a service worker (local process or remote peer)."""
 
     name: str
     source_program: Program
@@ -320,8 +321,8 @@ def _run_job_in_worker(task: _JobTask, ctx) -> _JobOutcome:
 
     *ctx* is the scheduler-provided :class:`~repro.exec.WorkContext`: typed
     session events stream out through ``ctx.emit`` (live, when the parent
-    subscribed) and the cross-process cancel flag comes in as the session's
-    cancel signal.  The same entry point serves pool processes and remote
+    subscribed) and the cross-process cancel signal comes in as the session's
+    cancel signal.  The same entry point serves local processes and remote
     workers — cache sync is explicit either way: the parent's accumulated
     counterexamples arrive in ``task.pool_snapshot`` and merge into this
     process's pool for the source program; sequences discovered here travel
@@ -377,24 +378,24 @@ class MigrationService:
 
     ``on_event`` receives ``(job_name, event)`` for every typed session
     event, in both execution modes: synchronously on the running thread
-    in-process, live from the event-router thread when jobs run on worker
-    processes.  Delivery is exactly-once in crash-free runs; if a worker
-    process crashes mid-job and the scheduler retries it, the retried job
-    re-streams from the start, so consumers see that job's prefix again
-    (at-least-once under crashes — same contract as the parallel session).
+    in-process, live from a connection's receiver thread when jobs run on
+    worker processes.  Delivery is exactly-once in crash-free runs; if a
+    worker process crashes mid-job and the scheduler re-leases it, the
+    retried job re-streams from the start, so consumers see that job's
+    prefix again (at-least-once under crashes — same contract as the
+    parallel session).
 
     *job_store* (a path or a :class:`~repro.jobstore.JobStore`) enables the
     persistent batch log — see the module docstring and
-    :meth:`MigrationService.resume`.  *max_pending_events* bounds the pooled
-    modes' shared event queue (backpressure; see :mod:`repro.exec.channel`).
+    :meth:`MigrationService.resume`.
 
     *workers* turns the service into the front of a **remote fleet**: a list
     of ``"host:port"`` addresses of listening ``repro.worker`` processes (or
     a pre-built :class:`~repro.exec.remote.RemoteFleet`, e.g. one listening
-    for ``--connect`` registrations).  Jobs then dispatch over the socket
-    transport with the exact semantics of the pooled mode — live events,
-    cross-process cancel, crash retry (here: lease re-grant when a worker
-    vanishes) — and the job store doubles as the fleet's lease journal.
+    for ``--connect`` registrations).  Jobs then dispatch with the exact
+    semantics of the local-worker mode — live events, cross-process cancel,
+    lease re-grant when a worker vanishes — and the job store doubles as
+    the fleet's lease journal.
     """
 
     def __init__(
@@ -404,7 +405,6 @@ class MigrationService:
         default_config: Optional[SynthesisConfig] = None,
         on_event: Optional[Callable[[str, SessionEvent], None]] = None,
         job_store: JobStore | str | None = None,
-        max_pending_events: Optional[int] = None,
         workers: Union[Sequence[str], RemoteFleet, None] = None,
         age_after: Optional[float] = None,
         age_step: int = 1,
@@ -418,7 +418,6 @@ class MigrationService:
             # backend, or anything store-shaped — pass through.
             job_store = open_job_store(job_store)
         self._store = job_store
-        self.max_pending_events = max_pending_events
         #: Anti-starvation aging forwarded to every scheduler this service
         #: builds (see :class:`~repro.exec.scheduler.WorkScheduler`): a
         #: pending job's priority improves by ``age_step`` per ``age_after``
@@ -476,7 +475,6 @@ class MigrationService:
         max_workers: int = 0,
         default_config: Optional[SynthesisConfig] = None,
         on_event: Optional[Callable[[str, SessionEvent], None]] = None,
-        max_pending_events: Optional[int] = None,
         age_after: Optional[float] = None,
         age_step: int = 1,
     ) -> "MigrationService":
@@ -507,7 +505,6 @@ class MigrationService:
             default_config=default_config,
             on_event=on_event,
             job_store=path,
-            max_pending_events=max_pending_events,
             age_after=age_after,
             age_step=age_step,
         )
@@ -714,9 +711,8 @@ class MigrationService:
         if task is None:
             return True
         if task.state in (TaskState.PENDING, TaskState.RUNNING):
-            # Never settled: the executor-failure unwind left it queued (or
-            # mid-flight on a broken pool, which produced no result either
-            # way) — hand it to the inline fallback.
+            # Never settled: the executor-failure unwind left it queued —
+            # hand it to the inline fallback.
             handle._task = None
             handle.status = JobStatus.PENDING
             return False
@@ -724,7 +720,7 @@ class MigrationService:
         if task.state is TaskState.DONE:
             outcome = task.result
             if isinstance(outcome, _JobOutcome):
-                # Pooled/remote workers reply with cache deltas attached:
+                # Workers reply with cache deltas attached:
                 # fold the fresh counterexamples into the parent-side pool so
                 # later jobs over the same source program — and later
                 # snapshots shipped to workers — screen with them.
@@ -832,7 +828,7 @@ class MigrationService:
 
     # -------------------------------------------------------------- pooled
     def _run_pooled(self, pending: list[JobHandle]) -> list[JobHandle]:
-        """Run jobs on workers (pool or fleet); returns handles for inline fallback."""
+        """Run jobs on workers (local or remote); returns handles for inline fallback."""
         runnable: list[JobHandle] = []
         for handle in pending:
             if handle.cancelled:
@@ -873,24 +869,23 @@ class MigrationService:
             "age_after": self.age_after,
             "age_step": self.age_step,
         }
-        if self.max_pending_events is not None:
-            scheduler_options["max_pending_events"] = self.max_pending_events
         if self._fleet is not None:
             # Fleet width is the workers' live capacity (max_workers, when
             # set, clamps it); the fleet object is borrowed by the scheduler
             # so it survives for the next run() over the same batch store.
             scheduler_options["fleet"] = self._fleet
             scheduler_options["max_workers"] = max(0, self.max_workers)
-            # First ladder rung (fleet -> local pool) lives in the scheduler;
-            # the pool -> inline rung below is service-owned, because only
-            # the service may run jobs in-process without leaking worker
-            # globals into the parent.  Keep the pool at >= 2 for that reason.
+            # First ladder rung (remote -> local workers) lives in the
+            # scheduler; the local -> inline rung below is service-owned,
+            # because only the service may run jobs in-process without
+            # leaking worker globals into the parent.  Keep >= 2 local
+            # workers for that reason.
             scheduler_options["degrade"] = resilience.degrade_ladder
             scheduler_options["degrade_workers"] = max(2, resilience.degrade_workers)
             scheduler_options["on_degrade"] = note_degrade
         else:
             # Never clamp below 2: a 1-job batch must still run on a worker
-            # process (the scheduler's inline mode would execute the pooled
+            # process (the scheduler's inline mode would execute the worker
             # entry point in the parent, leaking worker-process globals there).
             scheduler_options["max_workers"] = max(2, min(self.max_workers, len(runnable)))
         with WorkScheduler(**scheduler_options) as scheduler:

@@ -1,12 +1,15 @@
-"""Remote worker runner: ``python -m repro.worker --connect HOST:PORT``.
+"""Worker runner: ``python -m repro.worker --connect HOST:PORT``.
 
 One worker process serves one coordinator connection at a time.  It
 registers over the :mod:`repro.exec.wire` handshake, heartbeats on the
-interval the coordinator announced, and executes leased tasks through the
-same entrypoints the in-process pool uses — a leased parallel-wave attempt
-runs ``core.parallel._explore_correspondence`` against the shared
-``SessionCore``, a leased service job runs ``service._run_job_in_worker``;
-the worker itself is transport only.  Typed session events stream back as
+interval the coordinator announced, and executes leased tasks — a leased
+parallel-wave attempt runs ``core.parallel._explore_correspondence``
+against the shared ``SessionCore``, a leased service job runs
+``service._run_job_in_worker``; the worker itself is transport only.
+Every multi-process mode runs this loop: a
+:class:`~repro.exec.remote.LocalFleet` forks workers that call
+:meth:`WorkerAgent.serve` on one end of a socketpair, and remote workers
+reach it through the two modes below.  Typed session events stream back as
 ``event`` frames, followed by a ``task_end`` end-of-stream marker and a
 ``result`` frame, in that order on one TCP connection — which is what lets
 the coordinator's :class:`~repro.exec.remote.SocketChannel` guarantee a
@@ -24,10 +27,9 @@ Two modes, same protocol (the worker always sends ``hello`` first):
   connections sequentially until killed.
 
 Cache state (compiled-closure caches, counterexample pools) lives in this
-process's module globals exactly as it does in a pool worker; pool deltas
-arrive inside task payloads and fresh counterexamples travel back in
-results, so remote workers share discoveries at wave granularity without
-shared memory.
+process's module globals; pool deltas arrive inside task payloads and
+fresh counterexamples travel back in results, so workers share discoveries
+at wave granularity without shared memory.
 """
 
 from __future__ import annotations

@@ -1,20 +1,21 @@
 """Tests for the unified execution layer (repro.exec).
 
-Covers the channel transports (direct vs multiprocessing-queue), queue
-backpressure (bounded pending events, producer block-with-timeout, load
-counters), the ordered per-key stream merge, the priority/deadline
-scheduler in both execution modes, cross-process cancellation, crash
-recovery (worker-killing tasks retried up to max_retries, FAILED after),
-cross-transport stream equivalence at the scheduler level, the
-FuturesTimeout compat shim, and the parallel front-end's sequential
-fallback when worker processes are unavailable.
+Covers backpressure on the local worker fleet (a slow subscriber still
+gets every event, in order), the ordered per-key stream merge, the
+priority/deadline scheduler in both execution modes (inline and local
+workers), cross-process cancellation, crash recovery (a task that kills
+its worker is re-leased, and QUARANTINED after ``quarantine_after`` lost
+workers), worker-process hygiene across close(), cross-transport stream
+equivalence at the scheduler level, the FuturesTimeout compat shim, and
+the parallel front-end's sequential fallback when worker processes are
+unavailable.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
+import signal
 import time
 from dataclasses import replace
 
@@ -26,14 +27,16 @@ from repro.exec import (
     ExecutorUnavailable,
     FuturesTimeoutError,
     OrderedEventMerger,
+    RetryPolicy,
     TaskState,
     WorkScheduler,
 )
+from repro.exec.remote import LocalFleet
 from repro.workloads import get_benchmark
 
 
 # ------------------------------------------------------------ worker bodies
-# Module-level so the fork-based pool can pickle them by reference.
+# Module-level so the local workers can unpickle them by reference.
 def _double(payload, ctx):
     return payload * 2
 
@@ -80,102 +83,24 @@ def _run_until_cancelled(payload, ctx):
     return ("timed-out", ticks)
 
 
-# ----------------------------------------------------------------- channels
-class TestQueueChannel:
-    def test_round_trip_order_eos_and_cancel(self):
-        from repro.exec import channel as ch
-
-        context = multiprocessing.get_context("fork")
-        qc = ch.QueueChannel(context, capacity=4)
-        received: list = []
-        port = qc.bind(7, received.append)
-        assert port.slot >= 0
-        try:
-            # Simulate the worker side in this same process: install the
-            # transport ends exactly like the pool initializer would.
-            ch.install_worker_transport(*qc.initializer_args())
-            wctx = ch.worker_context(7, port.slot, True)
-            for i in range(5):
-                wctx.emit(i)
-            wctx.emit(None)  # a legitimate None payload is NOT end-of-stream
-            ch.close_worker_stream(7)
-            assert port.wait_drained(5.0)
-            assert received == [0, 1, 2, 3, 4, None]
-            assert not wctx.cancel_event.is_set()
-            port.cancel()
-            assert wctx.cancel_event.is_set()
-        finally:
-            port.release(recycle=False)
-            qc.close()
-            ch.install_worker_transport(None, None)
-
-    def test_unsubscribed_task_drains_trivially(self):
-        from repro.exec import channel as ch
-
-        qc = ch.QueueChannel(multiprocessing.get_context("fork"), capacity=2)
-        port = qc.bind(1, None)
-        assert not port.streaming
-        assert port.wait_drained(0.1)
-        port.release()
-        qc.close()
-
-
+# ------------------------------------------------------------- backpressure
 class TestBackpressure:
     def test_bounded_queue_still_delivers_everything(self):
-        # A consumer slower than the producer, a tiny bound: the producer
-        # blocks (never drops at the default generous timeout), pending
-        # events stay at or under the bound, and delivery is complete.
+        # A consumer slower than the producer: the worker's sends block on
+        # TCP flow control instead of dropping, and delivery is complete
+        # and in order.
         events: list = []
 
         def slow(event):
             time.sleep(0.002)
             events.append(event)
 
-        with WorkScheduler(max_workers=2, max_pending_events=4) as scheduler:
+        with WorkScheduler(max_workers=2) as scheduler:
             handle = scheduler.submit(_emit_range, 80, on_event=slow)
             scheduler.drain()
-            live = scheduler.channel_stats()
-            assert live is not None and live.max_pending_events == 4
         assert handle.state is TaskState.DONE
         assert events == list(range(80))
-        stats = scheduler.stats  # channel counters folded in on close
-        assert stats.events_high_water <= 4
-        assert stats.events_dropped == 0
-
-    def test_wedged_consumer_sheds_events_after_timeout(self):
-        from repro.exec import channel as ch
-
-        context = multiprocessing.get_context("fork")
-        qc = ch.QueueChannel(context, capacity=4, max_pending_events=2, put_timeout=0.05)
-        unblock = threading.Event()
-        received: list = []
-
-        def wedged(event):
-            unblock.wait(5.0)
-            received.append(event)
-
-        port = qc.bind(1, wedged)
-        try:
-            ch.install_worker_transport(*qc.initializer_args())
-            wctx = ch.worker_context(1, port.slot, True)
-            for i in range(10):
-                wctx.emit(i)
-            stats = qc.stats
-            assert stats.max_pending_events == 2
-            assert stats.dropped_events > 0, "producer never shed under backpressure"
-            assert stats.high_water_mark <= 2
-            unblock.set()
-            ch.close_worker_stream(1)
-            assert port.wait_drained(5.0)
-            # Prefix semantics: whatever was delivered is an in-order prefix
-            # plus nothing out of order (drops only ever trim the tail of
-            # what fit in the queue at each instant).
-            assert received == sorted(received)
-            assert len(received) + stats.dropped_events >= 10
-        finally:
-            port.release(recycle=False)
-            qc.close()
-            ch.install_worker_transport(None, None)
+        assert scheduler.stats.workers_lost == 0
 
 
 class TestOrderedEventMerger:
@@ -412,17 +337,17 @@ class TestPooledScheduler:
             return events, handle.result, handle.state
 
         direct = run(0)
-        queued = run(2)
-        assert direct == queued
+        local = run(2)
+        assert direct == local
         assert direct[0] == list(range(6))
 
 
 # ------------------------------------------------------------ crash recovery
 class TestCrashRetry:
     def test_killed_worker_task_is_requeued_and_recovers(self, tmp_path):
-        # The task hard-kills its worker process on the first run (breaking
-        # the pool) and succeeds on the retry; an innocent peer task caught
-        # in the same incident is requeued too and still completes.
+        # The task hard-kills its worker process on the first run and
+        # succeeds on the re-lease; a peer task on the other worker is
+        # untouched and completes.
         marker = str(tmp_path / "crash-once")
         with WorkScheduler(max_workers=2) as scheduler:
             crash = scheduler.submit(_crash_once, marker, name="crash-once")
@@ -434,27 +359,30 @@ class TestCrashRetry:
         assert crash.retries >= 1
         assert peer.state is TaskState.DONE and peer.result == 42
         assert stats.task_retries >= 1
-        assert stats.pool_rebuilds >= 1
+        assert stats.workers_lost >= 1
         assert stats.tasks_done == 2 and stats.tasks_failed == 0
 
     def test_retries_exhaust_to_failed_without_wholesale_fallback(self):
-        # A task that kills its worker every time must settle FAILED after
-        # max_retries — not raise ExecutorUnavailable — and must not poison
-        # the scheduler: a task submitted afterwards on the same scheduler
-        # runs on the rebuilt pool and completes.
-        with WorkScheduler(max_workers=2, max_retries=1) as scheduler:
+        # A task that kills its worker every time must settle QUARANTINED
+        # after quarantine_after lost workers — not raise
+        # ExecutorUnavailable — and must not poison the scheduler: a task
+        # submitted afterwards on the same scheduler runs on a replacement
+        # worker and completes.
+        with WorkScheduler(
+            max_workers=2, retry=RetryPolicy(quarantine_after=1)
+        ) as scheduler:
             doomed = scheduler.submit(_always_crash, None, name="doomed")
             scheduler.drain()  # must NOT raise
             later = scheduler.submit(_double, 21)
             scheduler.drain()
             stats = scheduler.stats
-        assert doomed.state is TaskState.FAILED
-        assert doomed.retries == 2  # first incident + one retry, then give up
-        assert "BrokenProcessPool" in doomed.error
+        assert doomed.state is TaskState.QUARANTINED
+        assert doomed.retries == 2  # first loss + one re-lease, then give up
+        assert "WorkerLost" in doomed.error and "'doomed'" in doomed.error
         assert later.state is TaskState.DONE and later.result == 42
-        assert stats.tasks_failed == 1 and stats.tasks_done == 1
+        assert stats.tasks_quarantined == 1 and stats.tasks_done == 1
         assert stats.task_retries == 1
-        assert stats.pool_rebuilds == 2
+        assert stats.workers_lost == 2
 
     def test_on_retry_hook_fires_per_incident(self, tmp_path):
         marker = str(tmp_path / "crash-once")
@@ -469,15 +397,51 @@ class TestCrashRetry:
         assert retried == ["watched"]
 
 
+# ---------------------------------------------------------- worker hygiene
+def _live_children() -> list:
+    return [child for child in multiprocessing.active_children() if child.is_alive()]
+
+
+class TestLocalWorkerLifecycle:
+    def test_close_leaves_no_live_child_process(self):
+        before = set(_live_children())
+        with WorkScheduler(max_workers=2) as scheduler:
+            handles = [scheduler.submit(_double, index) for index in range(4)]
+            scheduler.drain()
+            assert len(set(_live_children()) - before) == 2
+            threads = list(scheduler._local._threads)
+        assert [handle.result for handle in handles] == [0, 2, 4, 6]
+        assert set(_live_children()) - before == set()
+        assert [thread.name for thread in threads if thread.is_alive()] == []
+
+    def test_killed_worker_is_replaced_and_reaped(self):
+        before = set(_live_children())
+        with WorkScheduler(max_workers=2) as scheduler:
+            scheduler.submit(_double, 1)
+            scheduler.drain()
+            fleet = scheduler._local
+            victim = next(iter(fleet._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.time() + 10.0
+            while victim.name in fleet._processes and time.time() < deadline:
+                time.sleep(0.01)
+            assert fleet.wait_for_capacity(10.0, workers=2)
+            later = scheduler.submit(_double, 21)
+            scheduler.drain()
+            assert len(set(_live_children()) - before) == 2
+        assert later.state is TaskState.DONE and later.result == 42
+        assert scheduler.stats.workers_lost == 1
+        assert not victim.is_alive()
+        assert set(_live_children()) - before == set()
+
+
 # ----------------------------------------------------- executor degradation
 class TestExecutorUnavailable:
     def test_drain_raises_and_requeues(self, monkeypatch):
-        import repro.exec.scheduler as scheduler_module
-
         def broken(*_args, **_kwargs):
             raise OSError("no worker processes on this platform")
 
-        monkeypatch.setattr(scheduler_module, "_make_executor", broken)
+        monkeypatch.setattr(LocalFleet, "_start_worker", broken)
         with WorkScheduler(max_workers=2) as scheduler:
             handle = scheduler.submit(_double, 1)
             with pytest.raises(ExecutorUnavailable):
@@ -485,12 +449,10 @@ class TestExecutorUnavailable:
             assert handle.state is TaskState.PENDING  # ready for a fallback path
 
     def test_parallel_synthesis_degrades_to_sequential(self, monkeypatch):
-        import repro.exec.scheduler as scheduler_module
-
         def broken(*_args, **_kwargs):
             raise OSError("no worker processes on this platform")
 
-        monkeypatch.setattr(scheduler_module, "_make_executor", broken)
+        monkeypatch.setattr(LocalFleet, "_start_worker", broken)
         bench = get_benchmark("Oracle-1")
         config = SynthesisConfig()
         config.verifier_random_sequences = 10

@@ -9,10 +9,10 @@ Layers under test:
   kill-mid-result with exactly-once settlement, corrupted result frames,
   heartbeat loss via ``REPRO_FAULT_PLAN`` in subprocess workers, and
   poison-task quarantine;
-* the graceful-degradation ladder — scheduler (fleet -> pool), the
-  ``migrate`` front-end (identical results + ``ExecutionDegraded``
-  events), and the service (journalled ``degraded`` records, full
-  fleet -> pool -> inline walk);
+* the graceful-degradation ladder — scheduler (remote fleet -> local
+  workers, reported as ``"pool"``), the ``migrate`` front-end (identical
+  results + ``ExecutionDegraded`` events), and the service (journalled
+  ``degraded`` records, full fleet -> pool -> inline walk);
 * the CI chaos smoke (``REPRO_CHAOS_SMOKE=1``): a seeded fault-plan
   matrix over real subprocess workers, trajectories pinned against the
   undisturbed sequential baseline.
@@ -224,7 +224,7 @@ class TestFleetChaos:
                 ),
             ),
         )
-        retry = RetryPolicy(max_retries=5, quarantine_after=1, backoff_base=0.0)
+        retry = RetryPolicy(quarantine_after=1, backoff_base=0.0)
         with faults.activate(plan):
             with WorkScheduler(fleet=chaos_fleet, retry=retry) as scheduler:
                 good = scheduler.submit(echo_task, "fine", name="good")
@@ -304,7 +304,7 @@ class TestFleetChaos:
 # ------------------------------------------------------ degradation ladder
 class TestDegradationLadder:
     def test_scheduler_degrades_fleet_to_pool(self):
-        """A dead fleet degrades to a local pool; tasks still complete."""
+        """A dead fleet degrades to local workers; tasks still complete."""
         steps = []
         with WorkScheduler(
             fleet=DEAD_FLEET,
@@ -377,8 +377,8 @@ class TestDegradationLadder:
         assert set(resilience) >= {"retries", "quarantined_tasks", "degradations"}
 
     def test_service_ladder_journals_degraded_record(self, tmp_path):
-        """A service batch against a dead fleet completes on the pool and
-        journals the ladder step next to the job records."""
+        """A service batch against a dead fleet completes on local workers
+        and journals the ladder step next to the job records."""
         store_path = tmp_path / "chaos.jsonl"
         fleet = RemoteFleet(workers=DEAD_FLEET, start_timeout=0.5)
         events: list = []
@@ -425,11 +425,11 @@ class TestDegradationLadder:
         assert {job for job, _ in rungs} == {"Oracle-1", "Ambler-3"}
 
     def test_service_walks_full_ladder_to_inline(self, tmp_path, monkeypatch):
-        """Dead fleet + no process pool: the batch still completes, inline,
+        """Dead fleet + no local workers: the batch still completes, inline,
         with both rungs journalled."""
 
         def no_pool(self):
-            raise ExecutorUnavailable("process pool disabled for this test")
+            raise ExecutorUnavailable("worker processes disabled for this test")
 
         monkeypatch.setattr(WorkScheduler, "_ensure_executor", no_pool)
         store_path = tmp_path / "ladder.jsonl"

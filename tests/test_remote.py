@@ -8,9 +8,9 @@ Layers under test, bottom up:
   ordered event streaming, failure propagation, cross-socket cancel, lease
   expiry → re-lease with exactly-once settlement (in-thread workers for the
   protocol tests, real killed subprocesses for the crash tests);
-* cross-transport equivalence — the socket transport must produce the same
-  events and results as the direct and queue transports on the pinned
-  registry slice (all 20 benchmarks under ``REPRO_FULL_EQUIV=1``);
+* cross-transport equivalence — a subprocess fleet must produce the same
+  events and results as the direct transport and the forked local fleet on
+  the pinned registry slice (all 20 benchmarks under ``REPRO_FULL_EQUIV=1``);
 * the CI distributed smoke (``REPRO_DIST_SMOKE=1``): a 5-job service batch
   over a 2-worker fleet, one worker killed -9 mid-batch, trajectories
   pinned against the sequential service.
@@ -353,6 +353,42 @@ class TestRemoteFleet:
         assert bad.state is TaskState.FAILED
         assert good.state is TaskState.DONE
 
+    def test_close_joins_every_fleet_thread(self):
+        """close() returns only once the monitor, accept and receiver
+        threads have all exited.  The long heartbeat makes the monitor's
+        scan period 30 s, which it used to sleep out past close()."""
+        fleet = RemoteFleet(
+            listen="127.0.0.1:0",
+            min_workers=2,
+            heartbeat_interval=30.0,
+            lease_ttl=180.0,
+            start_timeout=15.0,
+        )
+        host, port = wire.parse_address(fleet.bound_address)
+        agents = [
+            threading.Thread(
+                target=WorkerAgent(worker_id=f"close-w{index}").connect,
+                args=(host, port),
+                daemon=True,
+            )
+            for index in range(2)
+        ]
+        for agent in agents:
+            agent.start()
+        try:
+            with WorkScheduler(fleet=fleet) as scheduler:
+                scheduler.submit(echo_task, 1, name="before-close")
+                scheduler.drain()
+            threads = list(fleet._threads)
+        finally:
+            fleet.close()
+        names = {thread.name for thread in threads}
+        assert {"repro-fleet-monitor", "repro-fleet-accept"} <= names
+        assert sum(name.startswith("repro-fleet-recv-") for name in names) == 2
+        assert [thread.name for thread in threads if thread.is_alive()] == []
+        for agent in agents:
+            agent.join(timeout=5)
+
     def test_no_workers_surfaces_executor_unavailable(self):
         fleet = RemoteFleet(workers=["127.0.0.1:1"], start_timeout=0.5)
         try:
@@ -428,6 +464,40 @@ class TestLeaseRecovery:
         finally:
             fleet.close()
             _reap(first, second)
+
+    def test_slow_subscriber_does_not_expire_a_streaming_worker(self):
+        """Every frame renews the worker's liveness, not just heartbeats.
+
+        The worker emits its whole stream at once; the subscriber takes
+        longer than the lease TTL to drain it, so the worker's heartbeats
+        queue behind the events.  The worker is busy, not silent.
+        """
+        fleet = RemoteFleet(
+            listen="127.0.0.1:0", heartbeat_interval=0.1, lease_ttl=0.5, start_timeout=15.0
+        )
+        host, port = wire.parse_address(fleet.bound_address)
+        agent = threading.Thread(
+            target=WorkerAgent(worker_id="slow-sub-w0").connect, args=(host, port), daemon=True
+        )
+        agent.start()
+        events: list = []
+
+        def slow(event):
+            time.sleep(0.02)
+            events.append(event)
+
+        try:
+            with WorkScheduler(fleet=fleet) as scheduler:
+                handle = scheduler.submit(
+                    stream_task, {"count": 60, "tag": 0}, on_event=slow, name="slow-sub"
+                )
+                scheduler.drain()
+        finally:
+            fleet.close()
+            agent.join(timeout=5)
+        assert handle.state is TaskState.DONE
+        assert events == [("tick", 0, tick) for tick in range(60)]
+        assert scheduler.stats.workers_lost == 0
 
     def test_expire_revalidates_under_lock(self, fleet_with_thread_workers):
         """Regression: the monitor must not expire a renewed or closing link.
@@ -605,17 +675,19 @@ class TestSocketTransportEquivalence:
             assert remote.scheduler["workers_lost"] == 0, name
 
     def test_socket_matches_queue_transport(self, listen_workers):
+        """The forked local fleet matches the subprocess fleet."""
         name = QUICK_SLICE[1]
         benchmark = get_benchmark(name)
-        queue_events: list = []
-        pooled = SynthesisSession(
+        local_events: list = []
+        local = SynthesisSession(
             benchmark.source_program,
             benchmark.target_schema,
             _pin_config(parallel_workers=2, parallel_wave_size=1),
-            on_event=queue_events.append,
+            on_event=local_events.append,
         ).run()
+        assert local.scheduler["workers_lost"] == 0
         remote, remote_events = _run_with_fleet(benchmark, listen_workers)
-        _assert_equivalent(name, pooled, queue_events, remote, remote_events)
+        _assert_equivalent(name, local, local_events, remote, remote_events)
 
     @pytest.mark.skipif(
         os.environ.get("REPRO_FULL_EQUIV", "") in ("", "0", "false"),

@@ -137,7 +137,7 @@ class TestInProcessService:
 
     def test_per_job_parallelism_is_flattened(self):
         # The service parallelizes across jobs; a job asking for its own
-        # worker pool runs sequentially instead of nesting process pools.
+        # workers runs sequentially instead of nesting worker fleets.
         job = _job("Oracle-1", _config(parallel_workers=4))
         (result,) = MigrationService().migrate_batch([job])
         assert result.succeeded
@@ -273,14 +273,14 @@ class TestCrossTransportEquivalence:
 
     def _assert_equivalent(self, names: list[str]):
         direct_handles, direct_events = self._run(names, 0)
-        queued_handles, queued_events = self._run(names, 2)
-        for name, direct, queued in zip(names, direct_handles, queued_handles):
-            assert direct.status is queued.status is JobStatus.DONE, name
-            # Same ordered event stream per job (queue events survive the
+        local_handles, local_events = self._run(names, 2)
+        for name, direct, local in zip(names, direct_handles, local_handles):
+            assert direct.status is local.status is JobStatus.DONE, name
+            # Same ordered event stream per job (socket events survive the
             # pickle round-trip with value equality)...
-            assert direct_events[name] == queued_events[name], name
+            assert direct_events[name] == local_events[name], name
             # ... and the same trajectory on the results.
-            assert _trajectory(direct.result) == _trajectory(queued.result), name
+            assert _trajectory(direct.result) == _trajectory(local.result), name
 
     def test_transports_equivalent_on_registry_slice(self):
         self._assert_equivalent(self.QUICK)
@@ -412,6 +412,31 @@ class TestJobStoreAndResume:
         resumed = MigrationService.resume(path)
         (rerun,) = resumed.handles
         assert rerun.status is JobStatus.PENDING and not rerun.restored
+        resumed.run()
+        assert rerun.status is JobStatus.DONE and rerun.result.succeeded
+
+    def test_resume_decodes_spec_pickled_with_retired_retry_field(self, tmp_path):
+        # A spec stored before RetryPolicy lost its max_retries field still
+        # carries the field in its pickled state: it must decode and run.
+        import base64
+        import pickle
+
+        from repro.api import ResilienceConfig, RetryPolicy
+
+        legacy = RetryPolicy(quarantine_after=3)
+        object.__setattr__(legacy, "max_retries", 1)  # the retired field
+        config = _config(resilience=ResilienceConfig(retry=legacy))
+        path = str(tmp_path / "jobs.jsonl")
+        MigrationService(job_store=path).submit(_job("Oracle-1", config))
+        spec = JobStore.load(path)["Oracle-1"].spec
+        assert b"max_retries" in base64.b64decode(spec.partition(":")[2])
+
+        resumed = MigrationService.resume(path, max_workers=2)
+        (rerun,) = resumed.handles
+        assert rerun.status is JobStatus.PENDING
+        retry = rerun.job.config.resilience.retry
+        assert retry == RetryPolicy(quarantine_after=3)
+        assert pickle.loads(pickle.dumps(retry)) == retry
         resumed.run()
         assert rerun.status is JobStatus.DONE and rerun.result.succeeded
 

@@ -296,8 +296,8 @@ def _crash_explore_once(task, ctx):
     """Fork-safe crash injection for the kill-a-worker retry test.
 
     Hard-kills the worker the first time it runs vc-1 (marker file keeps it
-    once-only across the rebuilt pool), then delegates to the real worker
-    entry point.  Module-level so the fork pool pickles it by reference.
+    once-only across the replacement worker), then delegates to the real
+    worker entry point.  Module-level so workers unpickle it by reference.
     """
     import repro.core.parallel as parallel_module
 
@@ -446,7 +446,7 @@ class TestParallelStreamingSession:
 
     def test_killed_worker_is_retried_with_same_trajectory(self, monkeypatch, tmp_path):
         # Kill the vc-1 worker once mid-wave: the scheduler's crash recovery
-        # requeues just that task onto a rebuilt pool, and the run finishes
+        # re-leases just that task to a live worker, and the run finishes
         # with the exact sequential trajectory (no wholesale fallback).
         import repro.core.parallel as parallel_module
 

@@ -60,6 +60,11 @@ class VcCandidate:
 # --------------------------------------------------------------------------------------
 #  Shared encoding helpers
 # --------------------------------------------------------------------------------------
+#: Per source attribute, its type-compatible target attributes with their
+#: similarity weight, best first.
+RankedTargets = list[list[tuple[Attribute, int]]]
+
+
 def compatible_targets(
     source: Schema, target: Schema, attr: Attribute, alpha: int = DEFAULT_ALPHA
 ) -> list[tuple[Attribute, int]]:
@@ -70,19 +75,42 @@ def compatible_targets(
     then lexicographically, so that e.g. ``Instructor.InstId`` is preferred
     over ``Class.InstId`` as the image of ``Instructor.InstId``.
     """
-    source_type = source.type_of(attr)
-    scored: list[tuple[Attribute, int]] = []
-    for candidate in target.attributes():
-        if compatible(source_type, target.type_of(candidate)):
-            scored.append((candidate, name_similarity(attr.name, candidate.name, alpha)))
-    scored.sort(
-        key=lambda pair: (
-            -pair[1],
-            -name_similarity(attr.table, pair[0].table, alpha),
-            str(pair[0]),
-        )
-    )
-    return scored
+    return rank_targets(source, target, [attr], alpha)[0]
+
+
+def rank_targets(
+    source: Schema, target: Schema, attrs: Sequence[Attribute], alpha: int = DEFAULT_ALPHA
+) -> RankedTargets:
+    """:func:`compatible_targets` for each of *attrs*, scoring every distinct
+    (source name, target name) and (source table, target table) pair once."""
+    candidates = [
+        (candidate, target.type_of(candidate), str(candidate))
+        for candidate in target.attributes()
+    ]
+    scores: dict[tuple[str, str], int] = {}
+
+    def score(left: str, right: str) -> int:
+        value = scores.get((left, right))
+        if value is None:
+            value = scores[left, right] = name_similarity(left, right, alpha)
+        return value
+
+    ranked: RankedTargets = []
+    for attr in attrs:
+        source_type = source.type_of(attr)
+        keyed = [
+            (
+                -score(attr.name, candidate.name),
+                -score(attr.table, candidate.table),
+                label,
+                candidate,
+            )
+            for candidate, candidate_type, label in candidates
+            if compatible(source_type, candidate_type)
+        ]
+        keyed.sort()
+        ranked.append([(candidate, -weight) for weight, _, _, candidate in keyed])
+    return ranked
 
 
 # --------------------------------------------------------------------------------------
@@ -166,14 +194,17 @@ class FactoredVcEnumerator:
         *,
         alpha: int = DEFAULT_ALPHA,
         max_fanout: Optional[int] = 2,
+        ranked: Optional[RankedTargets] = None,
     ):
         self.source = source_program.schema
         self.target = target_schema
         self.alpha = alpha
         self.queried = queried_attributes(source_program)
         self.rows: list[_RowCandidates] = []
-        for attr in self.source.attributes():
-            targets = compatible_targets(self.source, self.target, attr, alpha)
+        attrs = self.source.attributes()
+        if ranked is None:
+            ranked = rank_targets(self.source, self.target, attrs, alpha)
+        for attr, targets in zip(attrs, ranked):
             required = attr in self.queried
             row = _RowCandidates(
                 attr, targets, required=required, alpha=alpha, max_fanout=max_fanout
@@ -198,14 +229,17 @@ class FactoredVcEnumerator:
         while heap:
             neg_weight, state = heapq.heappop(heap)
             yield VcCandidate(self._state_to_vc(state), -neg_weight)
-            for row_index in range(len(self.rows)):
-                successor = state[:row_index] + (state[row_index] + 1,) + state[row_index + 1 :]
+            for row_index, row in enumerate(self.rows):
+                rank = state[row_index]
+                successor = state[:row_index] + (rank + 1,) + state[row_index + 1 :]
                 if successor in visited:
                     continue
-                weight = self._state_weight(successor)
-                if weight is None:
+                entry = row.get(rank + 1)
+                if entry is None:
                     continue
                 visited.add(successor)
+                # Only this row's rank moved, so only its term of the sum changes.
+                weight = entry[0] - row.get(rank)[0] - neg_weight
                 heapq.heappush(heap, (-weight, successor))
 
     def _state_weight(self, state: tuple[int, ...]) -> Optional[int]:
@@ -238,6 +272,7 @@ class MaxSatVcEnumerator:
         target_schema: Schema,
         *,
         alpha: int = DEFAULT_ALPHA,
+        ranked: Optional[RankedTargets] = None,
     ):
         self.source = source_program.schema
         self.target = target_schema
@@ -245,12 +280,13 @@ class MaxSatVcEnumerator:
         self.queried = queried_attributes(source_program)
         self.solver = WPMaxSatSolver()
         self.variables: dict[tuple[Attribute, Attribute], int] = {}
-        self._build_encoding()
+        self._build_encoding(ranked)
 
-    def _build_encoding(self) -> None:
+    def _build_encoding(self, ranked: Optional[RankedTargets]) -> None:
         source_attrs = self.source.attributes()
-        for attr in source_attrs:
-            targets = compatible_targets(self.source, self.target, attr, self.alpha)
+        if ranked is None:
+            ranked = rank_targets(self.source, self.target, source_attrs, self.alpha)
+        for attr, targets in zip(source_attrs, ranked):
             literals = []
             for target_attr, weight in targets:
                 var = self.solver.new_variable()
@@ -315,19 +351,19 @@ class ValueCorrespondenceEnumerator:
     ):
         if engine not in ("auto", "factored", "maxsat"):
             raise ValueError(f"unknown engine {engine!r}")
+        source = source_program.schema
+        ranked = rank_targets(source, target_schema, source.attributes(), alpha)
         if engine == "auto":
-            pairs = 0
-            for attr in source_program.schema.attributes():
-                pairs += len(
-                    compatible_targets(source_program.schema, target_schema, attr, alpha)
-                )
+            pairs = sum(len(targets) for targets in ranked)
             engine = "maxsat" if pairs <= maxsat_variable_limit else "factored"
         self.engine_name = engine
         if engine == "maxsat":
-            self._engine = MaxSatVcEnumerator(source_program, target_schema, alpha=alpha)
+            self._engine = MaxSatVcEnumerator(
+                source_program, target_schema, alpha=alpha, ranked=ranked
+            )
         else:
             self._engine = FactoredVcEnumerator(
-                source_program, target_schema, alpha=alpha, max_fanout=max_fanout
+                source_program, target_schema, alpha=alpha, max_fanout=max_fanout, ranked=ranked
             )
         self._iterator = self._engine.candidates()
         self.produced = 0

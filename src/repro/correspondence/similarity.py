@@ -16,21 +16,46 @@ DEFAULT_ALPHA = 8
 
 
 def levenshtein(left: str, right: str) -> int:
-    """The classic edit distance (insertions, deletions, substitutions)."""
+    """The classic edit distance (insertions, deletions, substitutions).
+
+    Myers' bit-parallel algorithm (JACM 1999) in Hyyrö's Levenshtein form
+    (2003): one column of the DP matrix over the shorter string is kept as
+    two bit vectors of vertical +1/-1 deltas, and each character of the
+    longer string advances the whole column with a few integer operations.
+    Python integers are unbounded, so strings longer than a machine word
+    need no blocking; ``mask`` keeps the vectors at the column's height.
+    """
     if left == right:
         return 0
-    if not left:
-        return len(right)
-    if not right:
+    if len(left) < len(right):
+        left, right = right, left
+    height = len(right)
+    if height == 0:
         return len(left)
-    previous = list(range(len(right) + 1))
-    for i, lchar in enumerate(left, start=1):
-        current = [i]
-        for j, rchar in enumerate(right, start=1):
-            cost = 0 if lchar == rchar else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+    match: dict[str, int] = {}
+    bit = 1
+    for char in right:
+        match[char] = match.get(char, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = 1 << (height - 1)
+    plus, minus = mask, 0
+    distance = height
+    for char in left:
+        eq = match.get(char, 0)
+        vertical = eq | minus
+        horizontal = (((eq & plus) + plus) ^ plus) | eq
+        h_plus = minus | ~(horizontal | plus)
+        h_minus = plus & horizontal
+        if h_plus & last:
+            distance += 1
+        elif h_minus & last:
+            distance -= 1
+        h_plus = (h_plus << 1) | 1
+        h_minus <<= 1
+        plus = (h_minus | ~(vertical | h_plus)) & mask
+        minus = h_plus & vertical
+    return distance
 
 
 @lru_cache(maxsize=65536)

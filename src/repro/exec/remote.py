@@ -337,11 +337,16 @@ class RemoteFleet:
             return len(self._links) >= workers
 
     def _spawn(self, target: Callable[[], None], name: str) -> None:
+        with self._lock:
+            self._spawn_locked(target, name)
+
+    def _spawn_locked(self, target: Callable[[], None], name: str) -> None:
+        """Start a fleet thread and record it for :meth:`close`; the caller
+        holds ``_lock``, so no one sees the thread unrecorded."""
         thread = threading.Thread(target=target, name=name, daemon=True)
         thread.start()
-        with self._lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(thread)
+        self._threads = [t for t in self._threads if t.is_alive()]
+        self._threads.append(thread)
 
     def close(self) -> None:
         """Shut every worker link down; returns once the fleet's threads exit."""
@@ -438,9 +443,11 @@ class RemoteFleet:
                     pass
                 _hang_up(link.sock)
                 return False
+            # Recorded in the same critical section that publishes the link:
+            # a close() woken by this roster change must find the thread.
+            self._spawn_locked(lambda: self._serve_link(link), f"repro-fleet-recv-{link.worker_id}")
             self._links[link.worker_id] = link
             self._roster_changed.notify_all()
-        self._spawn(lambda: self._serve_link(link), f"repro-fleet-recv-{link.worker_id}")
         return True
 
     # -------------------------------------------------------------- receiving

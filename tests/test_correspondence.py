@@ -1,7 +1,9 @@
 """Tests for similarity, value correspondences, and their lazy enumeration."""
 
+from functools import cache
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.correspondence import (
     DEFAULT_ALPHA,
@@ -16,8 +18,72 @@ from repro.correspondence import (
     name_similarity,
     normalized_similarity,
 )
+from repro.corpus import generate_corpus
 from repro.datamodel import Attribute, DataType as T, make_schema
+from repro.datamodel.types import compatible
 from repro.lang.builder import ProgramBuilder, eq, insert, select
+from repro.workloads import benchmark_names, get_benchmark
+
+
+@cache
+def reference_levenshtein(left: str, right: str) -> int:
+    """The textbook O(n·m) dynamic program: the oracle for the bit-parallel kernel."""
+    if left == right:
+        return 0
+    if not left:
+        return len(right)
+    if not right:
+        return len(left)
+    previous = list(range(len(right) + 1))
+    for i, lchar in enumerate(left, start=1):
+        current = [i]
+        for j, rchar in enumerate(right, start=1):
+            cost = 0 if lchar == rchar else 1
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
+        previous = current
+    return previous[-1]
+
+
+def reference_similarity(left: str, right: str, alpha: int = DEFAULT_ALPHA) -> int:
+    """``name_similarity``'s documented rule, scored with the reference DP."""
+    a, b = left.lower(), right.lower()
+    if a == b:
+        return alpha
+    if len(a) >= 3 and len(b) >= 3 and (a in b or b in a):
+        return alpha - 1
+    return alpha - 2 * reference_levenshtein(a, b)
+
+
+def reference_targets(source, target, attr):
+    """``compatible_targets`` scored pair by pair, with no sharing."""
+    scored = [
+        (candidate, reference_similarity(attr.name, candidate.name))
+        for candidate in target.attributes()
+        if compatible(source.type_of(attr), target.type_of(candidate))
+    ]
+    scored.sort(
+        key=lambda pair: (
+            -pair[1],
+            -reference_similarity(attr.table, pair[0].table),
+            str(pair[0]),
+        )
+    )
+    return scored
+
+
+def _ranking_workloads():
+    workloads = [get_benchmark(name) for name in benchmark_names()]
+    workloads.extend(workload.benchmark() for workload in generate_corpus(1, 25))
+    return workloads
+
+
+# Names with repeated characters, non-ASCII characters and lengths past one
+# 64-bit machine word (the kernel's bit vectors are unbounded Python ints).
+_names = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="aab_éß漢", max_size=80),
+    st.text(alphabet="ab", min_size=60, max_size=140),
+)
 
 
 # ----------------------------------------------------------------------------- similarity
@@ -36,6 +102,17 @@ class TestSimilarity:
     @given(st.text(max_size=8), st.text(max_size=8), st.text(max_size=8))
     def test_levenshtein_triangle_inequality(self, a, b, c):
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_names, _names)
+    @example("", "")
+    @example("", "é" * 70)
+    @example("a" * 65, "a" * 64)
+    @example("x" * 64 + "y", "y" + "x" * 64)
+    @example("users_email_address", "E-mail адрес")
+    def test_levenshtein_equals_reference_dp(self, left, right):
+        assert levenshtein(left, right) == reference_levenshtein(left, right)
+        assert levenshtein(right, left) == reference_levenshtein(left, right)
 
     def test_identical_names_score_alpha(self):
         assert name_similarity("InstId", "instid") == DEFAULT_ALPHA
@@ -114,6 +191,46 @@ class TestEnumeration:
         names = [attr for attr, _ in targets]
         assert names[0] == Attribute("Picture", "Pic")
         assert all(course_target_schema.type_of(a) == T.BINARY for a, _ in targets)
+
+    def test_ranking_matches_per_pair_reference(self):
+        """Targets per source attribute, the engine choice and the first 30
+        value correspondences equal a per-pair scoring with the reference DP,
+        on every registry benchmark and a seeded corpus slice."""
+        for benchmark in _ranking_workloads():
+            source, target = benchmark.source_program.schema, benchmark.target_schema
+            ranked = [reference_targets(source, target, attr) for attr in source.attributes()]
+            for attr, expected in zip(source.attributes(), ranked):
+                assert compatible_targets(source, target, attr) == expected, (benchmark.name, attr)
+
+            enumerator = ValueCorrespondenceEnumerator(benchmark.source_program, target)
+            if sum(len(row) for row in ranked) <= 12:
+                assert enumerator.engine_name == "maxsat"
+                reference = MaxSatVcEnumerator(benchmark.source_program, target, ranked=ranked)
+            else:
+                assert enumerator.engine_name == "factored"
+                reference = FactoredVcEnumerator(benchmark.source_program, target, ranked=ranked)
+            expected_vcs = [
+                (candidate.weight, candidate.correspondence)
+                for candidate, _ in zip(reference.candidates(), range(30))
+            ]
+            actual_vcs = [
+                (candidate.weight, candidate.correspondence)
+                for candidate, _ in zip(enumerator, range(30))
+            ]
+            assert actual_vcs == expected_vcs, benchmark.name
+            if enumerator.engine_name == "factored":
+                # The objective Σ sim − α·C(|image|, 2), summed from scratch.
+                weights = dict(zip(source.attributes(), map(dict, ranked)))
+                objectives = [
+                    sum(
+                        sum(weights[attr][image_attr] for image_attr in image)
+                        - DEFAULT_ALPHA * (len(image) * (len(image) - 1) // 2)
+                        for attr, image in vc.items()
+                    )
+                    for _, vc in actual_vcs
+                ]
+                assert [weight for weight, _ in actual_vcs] == objectives, benchmark.name
+                assert objectives == sorted(objectives, reverse=True), benchmark.name
 
     def test_first_vc_of_running_example(self, course_program, course_target_schema):
         enumerator = ValueCorrespondenceEnumerator(course_program, course_target_schema)

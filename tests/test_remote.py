@@ -389,6 +389,45 @@ class TestRemoteFleet:
         for agent in agents:
             agent.join(timeout=5)
 
+    def test_link_is_visible_only_with_its_receiver_thread_recorded(self, monkeypatch):
+        """A registered worker's receiver thread is recorded before the
+        roster change that announces its link, so a close() woken by that
+        change joins it.  Receiver threads here start slowly, which holds
+        the window open that a racing close() used to fall into."""
+        real_start = threading.Thread.start
+
+        def slow_start(thread):
+            if thread.name.startswith("repro-fleet-recv-"):
+                time.sleep(0.3)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", slow_start)
+        fleet = RemoteFleet(listen="127.0.0.1:0", min_workers=2, start_timeout=15.0)
+        host, port = wire.parse_address(fleet.bound_address)
+        agents = [
+            threading.Thread(
+                target=WorkerAgent(worker_id=f"race-w{index}").connect,
+                args=(host, port),
+                daemon=True,
+            )
+            for index in range(2)
+        ]
+        for agent in agents:
+            agent.start()
+        try:
+            fleet.ensure_started()
+            with fleet._lock:
+                recorded = {thread.name for thread in fleet._threads}
+                receivers = {f"repro-fleet-recv-{worker}" for worker in fleet._links}
+        finally:
+            fleet.close()
+        assert len(receivers) == 2
+        assert receivers <= recorded
+        assert [t.name for t in fleet._threads if t.is_alive()] == []
+        for agent in agents:
+            agent.join(timeout=5)
+            assert not agent.is_alive()
+
     def test_no_workers_surfaces_executor_unavailable(self):
         fleet = RemoteFleet(workers=["127.0.0.1:1"], start_timeout=0.5)
         try:
